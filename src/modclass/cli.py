@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +96,7 @@ def cmd_classify(args) -> int:
         return EXIT_SPEC
 
     rings = [build_ring(spec, cfg) for spec in specs]
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(rings)))) as pool:
-        reports = list(pool.map(lambda r: classify_ring(r, cfg), rings))
+    reports = [classify_ring(ring, cfg) for ring in rings]
 
     meta = [verify_implication_chain(reports), lemma31_check(reports)]
     violations = [f.to_dict() for m in meta for f in m.findings]

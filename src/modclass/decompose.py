@@ -3,7 +3,6 @@ of finite modules, with a per-ring registry of indecomposable isomorphism classe
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -205,17 +204,12 @@ class IndecomposableRegistry:
         return self.representatives[class_id].size
 
 
-_REGISTRIES: "weakref.WeakValueDictionary[int, FiniteRing]" = weakref.WeakValueDictionary()
-_REGISTRY_STORE: dict[int, IndecomposableRegistry] = {}
-
-
 def get_registry(ring: FiniteRing) -> IndecomposableRegistry:
-    """The shared registry for a ring (stable ids across calls in a session)."""
-    key = id(ring)
-    if key not in _REGISTRY_STORE or _REGISTRIES.get(key) is not ring:
-        _REGISTRIES[key] = ring
-        _REGISTRY_STORE[key] = IndecomposableRegistry(ring)
-    return _REGISTRY_STORE[key]
+    """The ring's registry, created on first use and kept on the ring itself
+    (stable class ids for as long as the ring lives)."""
+    if ring._registry is None:
+        ring._registry = IndecomposableRegistry(ring)
+    return ring._registry
 
 
 @dataclass(frozen=True)
@@ -286,7 +280,7 @@ def krull_schmidt(
     cfg = cfg or DEFAULTS
     registry = registry or get_registry(module.ring)
     if rng is None:
-        cached = getattr(module, "_signature_cache", None)
+        cached = module._signature_cache
         if cached is not None and cached.registry is registry:
             return cached
 

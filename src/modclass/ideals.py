@@ -11,6 +11,7 @@ import numpy as np
 from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SideError, SizeCapError
 from .rings import FiniteRing, unit_mask
+from .subgroup import generators, grow, span
 from .verdict import Verdict
 
 Side = Literal["left", "right", "two-sided"]
@@ -40,29 +41,9 @@ class Ideal:
         return len(self.elements) == self.ring.size
 
 
-def _expand_subgroup(ring: FiniteRing, mask: np.ndarray, members: list[int], g: int) -> list[int]:
-    """Grow the subgroup marked in ``mask`` by the element g; returns new members."""
-    added: list[int] = []
-    x = int(g)
-    base = np.array(members, dtype=np.int64)
-    while not mask[x]:
-        coset = ring.add(base, np.full(len(base), x, dtype=np.int64))
-        fresh = coset[~mask[coset]]
-        mask[fresh] = True
-        added.extend(int(v) for v in fresh)
-        members.extend(int(v) for v in fresh)
-        x = ring.add(x, int(g))
-    return added
-
-
 def additive_closure(ring: FiniteRing, seeds: Iterable[int]) -> np.ndarray:
     """Smallest additive subgroup containing the seeds, as sorted indices."""
-    mask = np.zeros(ring.size, dtype=bool)
-    mask[0] = True
-    members = [0]
-    for g in seeds:
-        _expand_subgroup(ring, mask, members, int(g))
-    return np.nonzero(mask)[0]
+    return np.flatnonzero(span(ring.add, ring.size, seeds))
 
 
 def ideal_generated(
@@ -77,15 +58,13 @@ def ideal_generated(
         raise SideError(f"unknown side {side!r}")
     mask = np.zeros(ring.size, dtype=bool)
     mask[0] = True
-    members = [0]
     pending = [int(g) for g in gens]
     mul = ring.mul_table
     while pending:
         x = pending.pop()
         if mask[x]:
             continue
-        added = _expand_subgroup(ring, mask, members, x)
-        for y in added:
+        for y in grow(ring.add, mask, x):
             if side in ("left", "two-sided"):
                 col = mul[:, y]
                 pending.extend(int(v) for v in np.unique(col[~mask[col]]))
@@ -167,21 +146,8 @@ def jacobson_radical(ring: FiniteRing, cfg: EngineConfig | None = None) -> Ideal
             )
 
     _check_nilpotent(ring, elements)
-    gens = _subgroup_generators(ring, elements)
+    gens = generators(ring.add, ring.size, elements)
     return Ideal(ring=ring, side="two-sided", elements=tuple(int(v) for v in elements), generators=gens)
-
-
-def _subgroup_generators(ring: FiniteRing, elements: np.ndarray) -> tuple[int, ...]:
-    """A small additive generating set for a subgroup given as element indices."""
-    mask = np.zeros(ring.size, dtype=bool)
-    mask[0] = True
-    members = [0]
-    gens: list[int] = []
-    for x in elements:
-        if not mask[x]:
-            gens.append(int(x))
-            _expand_subgroup(ring, mask, members, int(x))
-    return tuple(gens)
 
 
 def _check_nilpotent(ring: FiniteRing, elements: np.ndarray) -> int:
@@ -301,7 +267,7 @@ def quotient_ring(
         return ring
 
     t = len(ring.orders)
-    gens = _subgroup_generators(ring, np.array(ideal.elements, dtype=np.int64))
+    gens = generators(ring.add, ring.size, ideal.elements)
     cols: list[list[int]] = [[int(d) for d in ring.decode(g)] for g in gens]
     cols += [[ring.orders[i] if i == j else 0 for i in range(t)] for j in range(t)]
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(t)]
@@ -362,7 +328,7 @@ def is_local(ring: FiniteRing, cfg: EngineConfig | None = None) -> Verdict:
         ring=ring,
         side="left",
         elements=tuple(int(v) for v in nonunits),
-        generators=_subgroup_generators(ring, nonunits),
+        generators=generators(ring.add, ring.size, nonunits),
     )
     return Verdict(True, witness=maximal, note="non-units form the unique maximal left ideal")
 

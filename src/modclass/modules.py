@@ -9,13 +9,14 @@ integers with base-|R| digits as coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ClosureError, SizeCapError
 from .rings import FiniteRing
+from .subgroup import generators, grow, span
 
 _MODULE_ADD_TABLE_LIMIT = 2048
 
@@ -53,6 +54,7 @@ class FiniteModule:
         self._act_table: np.ndarray | None = None
         self._add_table: np.ndarray | None = None
         self._neg: np.ndarray | None = None
+        self._signature_cache = None  # set by decompose.krull_schmidt
 
     # -- free-cover arithmetic (indices with base-|R| digits) -------------------
 
@@ -275,25 +277,9 @@ def cyclic_submodule(module: FiniteModule, x: int) -> np.ndarray:
 
 
 def submodule_generated(module: FiniteModule, seeds: Sequence[int]) -> np.ndarray:
-    """Least submodule containing the seeds."""
-    mask = np.zeros(module.size, dtype=bool)
-    mask[0] = True
-    members = [0]
-    for s in seeds:
-        for g in cyclic_submodule(module, int(s)):
-            g = int(g)
-            if mask[g]:
-                continue
-            x = g
-            base = np.array(members, dtype=np.int64)
-            while not mask[x]:
-                coset = module.add(base, np.full(len(base), x, dtype=np.int64))
-                fresh = coset[~mask[coset]]
-                mask[fresh] = True
-                members.extend(int(v) for v in fresh)
-                x = module.add(x, g)
-                base = np.array(members, dtype=np.int64)
-    return np.nonzero(mask)[0]
+    """Least submodule containing the seeds: the additive span of their cyclic submodules."""
+    gens = [g for s in seeds for g in cyclic_submodule(module, int(s))]
+    return np.flatnonzero(span(module.add, module.size, gens))
 
 
 def is_submodule(module: FiniteModule, elements: np.ndarray) -> bool:
@@ -310,36 +296,38 @@ def is_submodule(module: FiniteModule, elements: np.ndarray) -> bool:
 def all_submodules(
     module: FiniteModule, cfg: EngineConfig | None = None, limit: int = 20_000
 ) -> list[np.ndarray]:
-    """Every submodule, as the join-closure of the cyclic ones.
+    """Every submodule, sorted by size then elements, as sorted element indices.
 
-    Joins are recomputed from small generator lists rather than full element
-    sets, which keeps the lattice enumeration near-linear in its output.
+    Every submodule is a sum of cyclic ones, so the lattice is the closure of
+    the cyclic submodules under joins with a cyclic one.  A join A + R*x grows
+    A's mask by an additive generating set of R*x.  More than ``limit``
+    submodules raises SizeCapError.
     """
-    cyclics: dict[bytes, tuple[np.ndarray, int]] = {}
+    cyclics: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
     for x in range(module.size):
         sub = cyclic_submodule(module, x)
-        cyclics.setdefault(sub.tobytes(), (sub, x))
-    found: dict[bytes, tuple[np.ndarray, list[int]]] = {
-        key: (sub, [x] if x else []) for key, (sub, x) in cyclics.items()
-    }
+        key = sub.tobytes()
+        if key not in cyclics:
+            cyclics[key] = (sub, generators(module.add, module.size, sub))
+    found: dict[bytes, np.ndarray] = {key: sub for key, (sub, _) in cyclics.items()}
     queue = list(found.keys())
     while queue:
-        key = queue.pop()
-        elements, gens = found[key]
-        mask = np.zeros(module.size, dtype=bool)
-        mask[elements] = True
-        for csub, cx in cyclics.values():
-            if mask[csub].all():
+        base = np.zeros(module.size, dtype=bool)
+        base[found[queue.pop()]] = True
+        for csub, cgens in cyclics.values():
+            if base[csub].all():
                 continue
-            joined_gens = gens + [cx]
-            joined = submodule_generated(module, joined_gens)
+            mask = base.copy()
+            for g in cgens:
+                grow(module.add, mask, g)
+            joined = np.flatnonzero(mask)
             jkey = joined.tobytes()
             if jkey not in found:
                 if len(found) >= limit:
                     raise SizeCapError(f"{module.label}: submodule lattice above {limit}")
-                found[jkey] = (joined, joined_gens)
+                found[jkey] = joined
                 queue.append(jkey)
-    return sorted((sub for sub, _ in found.values()), key=lambda a: (len(a), a.tolist()))
+    return sorted(found.values(), key=lambda a: (len(a), a.tolist()))
 
 
 def submodule_as_module(
@@ -480,63 +468,52 @@ def identity_hom(module: FiniteModule) -> ModuleHom:
 
 def _relation_generators(module: FiniteModule) -> np.ndarray:
     """Additive generators of the relation submodule inside the free cover."""
-    k = module.relations
-    if len(k) == 1:
-        return np.zeros((0,), dtype=np.int64)
-    in_span = {0}
-    members = np.array([0], dtype=np.int64)
-    gens: list[int] = []
-    for v in k:
-        v = int(v)
-        if v in in_span:
-            continue
-        gens.append(v)
-        x = v
-        while x not in in_span:
-            coset = module.cover_add(members, np.full(len(members), x, dtype=np.int64))
-            fresh = [int(c) for c in coset if int(c) not in in_span]
-            in_span.update(fresh)
-            if fresh:
-                members = np.concatenate([members, np.array(fresh, dtype=np.int64)])
-            x = int(module.cover_add(x, v))
-    return np.array(gens, dtype=np.int64)
+    return np.array(generators(module.cover_add, module.cover_size, module.relations), dtype=np.int64)
 
 
 def hom_candidate_space(source: FiniteModule, target: FiniteModule) -> int:
     return target.size**source.num_generators
 
 
-def hom_image_mask(
-    source: FiniteModule, target: FiniteModule, cfg: EngineConfig | None = None
-) -> np.ndarray:
-    """Validity mask over generator-image tuples (base-|target| digits).
+def _hom_validator(
+    source: FiniteModule, target: FiniteModule, cfg: EngineConfig | None
+) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """Size of the candidate space and a validity test on candidate indices.
 
-    A tuple (y_1..y_g) defines a module map iff every relation of the source
-    annihilates it; checking the additive generators of the relation submodule
-    suffices because the constraint is additive in the relation.
+    A candidate is a generator-image tuple (y_1..y_g) in base-|target| digits.
+    It defines a module map iff every relation of the source annihilates it;
+    checking the additive generators of the relation submodule suffices
+    because the constraint is additive in the relation.
     """
     cfg = cfg or DEFAULTS
     space = hom_candidate_space(source, target)
     if space > cfg.max_homs:
         raise SizeCapError(
-            f"hom enumeration {source.label} -> {target.label}: "
+            f"hom search {source.label} -> {target.label}: "
             f"candidate space {space} above cap {cfg.max_homs}"
         )
-    g = source.num_generators
-    idx = np.arange(space, dtype=np.int64)
-    powers = target.size ** np.arange(g, dtype=np.int64)
-    mask = np.ones(space, dtype=bool)
-    rel_gens = _relation_generators(source)
-    if len(rel_gens) == 0:
-        return mask
-    rel_digits = source._cover_digits(rel_gens)  # (#gens, g) ring coefficients
-    for row in rel_digits:
-        acc = np.zeros(space, dtype=np.int64)
-        for i in range(g):
-            yi = (idx // powers[i]) % target.size
-            acc = target.add(acc, target.act_table[int(row[i]), yi])
-        mask &= acc == 0
-    return mask
+    powers = target.size ** np.arange(source.num_generators, dtype=np.int64)
+    rel_digits = source._cover_digits(_relation_generators(source))  # (#gens, g) ring coefficients
+
+    def valid(candidates: np.ndarray) -> np.ndarray:
+        ok = np.ones(len(candidates), dtype=bool)
+        for row in rel_digits:
+            acc = np.zeros(len(candidates), dtype=np.int64)
+            for coeff, power in zip(row, powers):
+                yi = (candidates // power) % target.size
+                acc = target.add(acc, target.act_table[int(coeff), yi])
+            ok &= acc == 0
+        return ok
+
+    return space, valid
+
+
+def hom_image_mask(
+    source: FiniteModule, target: FiniteModule, cfg: EngineConfig | None = None
+) -> np.ndarray:
+    """Validity mask over all generator-image tuples (base-|target| digits)."""
+    space, valid = _hom_validator(source, target, cfg)
+    return valid(np.arange(space, dtype=np.int64))
 
 
 def hom_from_images(source: FiniteModule, target: FiniteModule, images: Sequence[int]) -> ModuleHom:
@@ -577,29 +554,9 @@ def iter_hom_images(
     With an rng, random candidates are tried first (duplicates possible), then
     a systematic chunked scan guarantees exhaustiveness either way.
     """
-    cfg = cfg or DEFAULTS
-    space = hom_candidate_space(source, target)
-    if space > cfg.max_homs:
-        raise SizeCapError(
-            f"hom search {source.label} -> {target.label}: space {space} above cap {cfg.max_homs}"
-        )
+    space, valid = _hom_validator(source, target, cfg)
     g = source.num_generators
     base = target.size
-    rel_gens = _relation_generators(source)
-    rel_digits = source._cover_digits(rel_gens) if len(rel_gens) else None
-
-    def valid(candidates: np.ndarray) -> np.ndarray:
-        if rel_digits is None or not len(rel_digits):
-            return np.ones(len(candidates), dtype=bool)
-        ok = np.ones(len(candidates), dtype=bool)
-        for row in rel_digits:
-            acc = np.zeros(len(candidates), dtype=np.int64)
-            for i in range(g):
-                yi = (candidates // base**i) % base
-                acc = target.add(acc, target.act_table[int(row[i]), yi])
-            ok &= acc == 0
-        return ok
-
     if rng is not None and space > 1:
         draws = rng.integers(0, space, size=random_tries)
         ok = valid(draws)

@@ -27,6 +27,7 @@ from .modules import (
     hom_from_images,
     hom_image_mask,
 )
+from .subgroup import span
 from .verdict import Verdict
 
 
@@ -78,29 +79,6 @@ def is_free_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Ver
     return Verdict(True, witness=c, note=f"isomorphic to R^{c}")
 
 
-def _section_search(
-    module: FiniteModule, cfg: EngineConfig
-) -> ModuleHom | None:
-    """A section of the canonical surjection R^g -> M, or None.
-
-    Candidate sections are generator-image tuples into the free cover that
-    satisfy the relations of M and project back onto the generators.
-    """
-    cover = free_module(module.ring, module.num_generators, cfg)
-    mask = hom_image_mask(module, cover, cfg)
-    space = len(mask)
-    idx = np.arange(space, dtype=np.int64)
-    for i in range(module.num_generators):
-        yi = (idx // cover.size**i) % cover.size
-        mask &= module.cls[yi] == module.gens[i]
-    hits = np.nonzero(mask)[0]
-    if len(hits) == 0:
-        return None
-    w = int(hits[0])
-    images = tuple((w // cover.size**i) % cover.size for i in range(module.num_generators))
-    return hom_from_images(module, cover, images)
-
-
 def is_projective_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Verdict:
     """Projective iff every indecomposable summand is a summand of the regular module.
 
@@ -119,7 +97,8 @@ def is_projective_module(module: FiniteModule, cfg: EngineConfig | None = None) 
     section: ModuleHom | None = None
     oracle_ran = False
     try:
-        section = _section_search(module, cfg)
+        cover = free_module(module.ring, module.num_generators, cfg)
+        section = split_surjection_search(ModuleHom(cover, module, module.cls), cfg)
         oracle_ran = True
     except SizeCapError:
         pass
@@ -192,25 +171,6 @@ class FlatnessReport:
         return self.value
 
 
-def _cover_subgroup_mask(module: FiniteModule, gens) -> np.ndarray:
-    """Boolean mask over the free cover for the subgroup generated by gens."""
-    mask = np.zeros(module.cover_size, dtype=bool)
-    mask[0] = True
-    members = np.array([0], dtype=np.int64)
-    for g in gens:
-        g = int(g)
-        if mask[g]:
-            continue
-        x = g
-        while not mask[x]:
-            coset = module.cover_add(members, np.full(len(members), x, dtype=np.int64))
-            fresh = coset[~mask[coset]]
-            mask[fresh] = True
-            members = np.concatenate([members, fresh])
-            x = int(module.cover_add(x, g))
-    return mask
-
-
 def is_flat_module(
     module: FiniteModule,
     relation_length_bound: int | None = None,
@@ -259,12 +219,12 @@ def is_flat_module(
             image_gens.update(int(u) for u in np.atleast_1d(acted))
         image_gens.discard(0)
         key = tuple(sorted(image_gens))
-        span = memo.get(key)
-        if span is None:
-            span = _cover_subgroup_mask(module, key)
-            memo[key] = span
+        image = memo.get(key)
+        if image is None:
+            image = span(module.cover_add, module.cover_size, key)
+            memo[key] = image
         report.checked_relations += 1
-        if not span[v]:
+        if not image[v]:
             report.value = False
             report.witness = {
                 "coefficients": tuple(int(d) for d in digits),

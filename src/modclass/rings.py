@@ -67,6 +67,7 @@ class FiniteRing:
         self._add_table: np.ndarray | None = None
         self._neg_table: np.ndarray | None = None
         self._units: frozenset[int] | None = None
+        self._registry = None  # set by decompose.get_registry
 
     # -- encoding ----------------------------------------------------------
 

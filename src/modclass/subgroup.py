@@ -1,0 +1,69 @@
+"""Additive subgroups of a finite abelian group, kept as boolean masks.
+
+The group is a carrier {0, ..., size-1} with 0 as its identity and a
+vectorized ``add``: ``add(xs, y)`` adds the element y to every entry of the
+index array xs, and ``add(x, y)`` on two elements returns their sum.  Ring
+addition, module addition and free-cover addition all have this form, so
+every additive closure in the package (ideals, submodules, relation
+submodules, the flatness images) runs through this module.
+
+``grow`` adds one generator g to a marked subgroup H by doubling.  After i
+rounds the mask holds H + {0, ..., 2^i - 1}·g.  The next round shifts
+everything marked by x = 2^i·g, which gives H + {0, ..., 2^(i+1) - 1}·g, and
+then sets x <- x + x.  Once x is already marked, 2^i·g = h + j·g with
+j < 2^i, so d·g lies in H for some 1 <= d <= 2^i; the multiples 0..2^i - 1
+then meet every coset of H in H + <g>, and the mask equals H + <g>.  Adding g
+costs one ``add`` call per round, about log2 of the order of g modulo H.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable
+
+import numpy as np
+
+
+def grow(add: Callable, mask: np.ndarray, g: int) -> np.ndarray:
+    """Enlarge the subgroup H marked in ``mask`` to H + <g>, in place.
+
+    ``mask`` must mark a subgroup.  Returns the newly marked elements, which
+    is empty when g already lies in H.
+    """
+    x = int(g)
+    if mask[x]:
+        return np.zeros(0, dtype=np.int64)
+    members = np.flatnonzero(mask)
+    before = len(members)
+    while not mask[x]:
+        shifted = add(members, x)
+        fresh = shifted[~mask[shifted]]
+        mask[fresh] = True
+        members = np.concatenate([members, fresh])
+        x = int(add(x, x))
+    return members[before:]
+
+
+def span(add: Callable, size: int, gens: Iterable[int]) -> np.ndarray:
+    """Mask over the carrier of the subgroup generated by ``gens``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[0] = True
+    for g in gens:
+        if not mask[g]:
+            grow(add, mask, g)
+    return mask
+
+
+def generators(add: Callable, size: int, elements: Iterable[int]) -> tuple[int, ...]:
+    """Greedy additive generating set of the subgroup spanned by ``elements``.
+
+    Walks the elements in order and keeps each one not yet spanned by those
+    kept before it.
+    """
+    mask = np.zeros(size, dtype=bool)
+    mask[0] = True
+    picked = []
+    for x in elements:
+        if not mask[x]:
+            grow(add, mask, x)
+            picked.append(int(x))
+    return tuple(picked)

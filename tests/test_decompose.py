@@ -1,15 +1,20 @@
 """Idempotent and Krull-Schmidt decompositions."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from modclass import (
+    build_ring,
     corner_isomorphism,
     cyclic_submodule,
     direct_sum,
     free_module,
     get_registry,
     idempotents,
+    is_free_module,
     is_isomorphic,
     krull_schmidt,
     primitive_decomposition,
@@ -149,3 +154,13 @@ class TestIsIsomorphic:
     def test_different_rings_rejected(self, z4, z6):
         with pytest.raises(ValueError):
             is_isomorphic(regular_module(z4), regular_module(z6))
+
+
+class TestRegistryLifetime:
+    def test_registry_does_not_keep_its_ring_alive(self):
+        ring = build_ring("Z/6")
+        ref = weakref.ref(ring)
+        assert is_free_module(regular_module(ring))
+        del ring
+        gc.collect()
+        assert ref() is None

@@ -10,6 +10,7 @@ from modclass import (
     cyclic_submodule,
     direct_sum,
     free_module,
+    generated_module_family,
     identity_hom,
     is_flat_module,
     is_free_module,
@@ -18,6 +19,7 @@ from modclass import (
     primitive_decomposition,
     quotient_module,
     regular_module,
+    ring_from_tables,
     split_surjection_search,
     submodule_as_module,
     zero_module,
@@ -198,6 +200,17 @@ class TestFlatness:
         half = quotient_module(reg, [0, 2])
         report = is_flat_module(half, relation_length_bound=1)
         assert not report.value
+
+
+    def test_relabeled_field_is_flat_without_inconsistency(self):
+        # Z/7 relabeled by the additive automorphism a -> 2a: the identity is 2
+        # and x*y = 4xy, since 4 = 1/2 mod 7.  Every module over a field is
+        # free, so flatness must hold and agree with projectivity.
+        table = [[4 * x * y % 7 for y in range(7)] for x in range(7)]
+        ring = ring_from_tables((7,), 2, table, label="Z/7 via a->2a")
+        for module in generated_module_family(ring):
+            report = is_flat_module(module)
+            assert report.value and report.agrees_with_projective, module.label
 
 
 class TestPropertyChain:
