@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -14,8 +15,7 @@ from .modules import (
     FiniteModule,
     cyclic_submodule,
     find_bijective_hom,
-    hom_value_at,
-    iter_hom_images,
+    hom_candidate_blocks,
     regular_module,
     submodule_as_module,
     submodule_generated,
@@ -106,6 +106,18 @@ class IdempotentDecomposition:
             )
 
 
+def _compare_representatives(a: FiniteModule, b: FiniteModule) -> int:
+    """Order by size, then by the action tables compared entry by entry as
+    integers (the first differing entry decides)."""
+    if a.size != b.size:
+        return -1 if a.size < b.size else 1
+    ta, tb = a.act_table.ravel(), b.act_table.ravel()
+    diff = np.flatnonzero(ta != tb)
+    if len(diff) == 0:
+        return 0
+    return -1 if ta[diff[0]] < tb[diff[0]] else 1
+
+
 def primitive_decomposition(
     ring: FiniteRing,
     cfg: EngineConfig | None = None,
@@ -159,8 +171,7 @@ def primitive_decomposition(
             )
         )
     order_key = sorted(
-        range(len(groups)),
-        key=lambda i: (reps[i].size, tuple(int(v) for v in reps[i].act_table.ravel())),
+        range(len(groups)), key=cmp_to_key(lambda i, j: _compare_representatives(reps[i], reps[j]))
     )
     groups = [groups[i] for i in order_key]
     reps = [reps[i] for i in order_key]
@@ -252,17 +263,28 @@ def _find_splitting_idempotent(
 ) -> tuple[int, ...] | None:
     """Generator images of an idempotent endomorphism other than 0 and id.
 
-    The map defined by images (y_i) is idempotent iff every y_i is a fixed
-    point, since pi(pi(g_i)) = pi(y_i).
+    The map pi defined by images (y_i) is idempotent iff every y_j is a fixed
+    point, since pi(pi(g_j)) = pi(y_j).  With y_j = sum_i c_ji g_i for the
+    cover digits c_j of y_j's representative, pi(y_j) = sum_i c_ji y_i; this
+    is evaluated for a whole block of candidate tuples at once.
     """
-    g = module.num_generators
-    zero_images = (0,) * g
-    id_images = module.gens
-    for images in iter_hom_images(module, module, cfg, rng=rng):
-        if images == zero_images or images == id_images:
-            continue
-        if all(hom_value_at(module, module, images, y) == y for y in images):
-            return images
+    g, size = module.num_generators, module.size
+    powers = size ** np.arange(g, dtype=np.int64)
+    id_index = int(np.dot(module.gens, powers))
+    act = module.act_table
+    for block in hom_candidate_blocks(module, module, cfg, rng):
+        block = block[(block != 0) & (block != id_index)]
+        images = (block[:, None] // powers) % size  # (n, g)
+        coeffs = module._cover_digits(module.rep[images])  # (n, g, g): c_ji
+        fixed = np.ones(len(block), dtype=bool)
+        for j in range(g):
+            value = np.zeros(len(block), dtype=np.int64)
+            for i in range(g):
+                value = module.add(value, act[coeffs[:, j, i], images[:, i]])
+            fixed &= value == images[:, j]
+        hits = np.flatnonzero(fixed)
+        if len(hits):
+            return tuple(int(y) for y in images[hits[0]])
     return None
 
 

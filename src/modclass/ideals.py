@@ -16,6 +16,8 @@ from .verdict import Verdict
 
 Side = Literal["left", "right", "two-sided"]
 
+_PRODUCT_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Ideal:
@@ -52,25 +54,42 @@ def ideal_generated(
     gens: Sequence[int],
     cfg: EngineConfig | None = None,
 ) -> Ideal:
-    """Least ideal of the given side containing ``gens`` (closure to a fixed point)."""
+    """Least ideal of the given side containing ``gens`` (closure to a fixed point).
+
+    Each generator is added to the marked subgroup with ``grow``; the products
+    of the newly marked elements are taken in blocks of at most 2^16 entries,
+    and each one neither marked nor already queued is queued.  The closure
+    stops early once the whole ring is marked.
+    """
     ring.require_tables("ideal_generated")
     if side not in ("left", "right", "two-sided"):
         raise SideError(f"unknown side {side!r}")
     mask = np.zeros(ring.size, dtype=bool)
     mask[0] = True
-    pending = [int(g) for g in gens]
+    queued = np.zeros(ring.size, dtype=bool)
+    pending: list[int] = []
+
+    def enqueue(products: np.ndarray) -> None:
+        fresh = np.unique(products[~(mask[products] | queued[products])])
+        queued[fresh] = True
+        pending.extend(fresh.tolist())
+
+    enqueue(np.asarray(gens, dtype=np.int64))
     mul = ring.mul_table
-    while pending:
+    step = max(1, _PRODUCT_BLOCK // ring.size)
+    marked = 1
+    while pending and marked < ring.size:
         x = pending.pop()
         if mask[x]:
             continue
-        for y in grow(ring.add, mask, x):
+        new = grow(ring.add, mask, x)
+        marked += len(new)
+        for start in range(0, len(new), step):
+            ys = new[start : start + step]
             if side in ("left", "two-sided"):
-                col = mul[:, y]
-                pending.extend(int(v) for v in np.unique(col[~mask[col]]))
+                enqueue(mul[:, ys].ravel())
             if side in ("right", "two-sided"):
-                row = mul[y, :]
-                pending.extend(int(v) for v in np.unique(row[~mask[row]]))
+                enqueue(mul[ys, :].ravel())
     elements = tuple(int(v) for v in np.nonzero(mask)[0])
     return Ideal(ring=ring, side=side, elements=elements, generators=tuple(int(g) for g in gens))
 

@@ -9,6 +9,7 @@ integers with base-|R| digits as coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -19,6 +20,8 @@ from .rings import FiniteRing
 from .subgroup import generators, grow, span
 
 _MODULE_ADD_TABLE_LIMIT = 2048
+# Entries per vectorized block: rows of the action table, hom candidates.
+_BLOCK = 1 << 16
 
 
 class FiniteModule:
@@ -54,6 +57,7 @@ class FiniteModule:
         self._act_table: np.ndarray | None = None
         self._add_table: np.ndarray | None = None
         self._neg: np.ndarray | None = None
+        self._relation_gens: np.ndarray | None = None  # set by _relation_generators
         self._signature_cache = None  # set by decompose.krull_schmidt
 
     # -- free-cover arithmetic (indices with base-|R| digits) -------------------
@@ -83,16 +87,25 @@ class FiniteModule:
 
     @property
     def act_table(self) -> np.ndarray:
-        """(|R|, size) table of the left action on carrier elements."""
+        """(|R|, size) table of the left action on carrier elements.
+
+        Built in blocks of ring elements, at most ``_BLOCK`` cover digits each,
+        so no (|R|, size, g) intermediate is ever allocated.
+        """
         if self._act_table is None:
-            reps = self.rep
-            digits = self._cover_digits(reps)  # (size, g)
-            n = self.ring.size
-            out = np.zeros((n, self.size), dtype=np.int64)
-            for r in range(n):
-                acted = self._cover_encode(self.ring.mul_table[r, digits])
-                out[r] = self.cls[acted]
-            self._act_table = out.astype(np.int32)
+            digits = self._cover_digits(self.rep)  # (size, g)
+            n, g = self.ring.size, self.num_generators
+            powers = n ** np.arange(g, dtype=np.int64)
+            mul = self.ring.mul_table
+            out = np.empty((n, self.size), dtype=np.int32)
+            step = max(1, _BLOCK // (self.size * max(1, g)))
+            for start in range(0, n, step):
+                stop = min(start + step, n)
+                acted = np.zeros((stop - start, self.size), dtype=np.int64)
+                for i in range(g):
+                    acted += mul[start:stop, digits[:, i]] * powers[i]
+                out[start:stop] = self.cls[acted]
+            self._act_table = out
         return self._act_table
 
     @property
@@ -467,8 +480,13 @@ def identity_hom(module: FiniteModule) -> ModuleHom:
 
 
 def _relation_generators(module: FiniteModule) -> np.ndarray:
-    """Additive generators of the relation submodule inside the free cover."""
-    return np.array(generators(module.cover_add, module.cover_size, module.relations), dtype=np.int64)
+    """Additive generators of the relation submodule inside the free cover
+    (computed once per module)."""
+    if module._relation_gens is None:
+        gens = np.array(generators(module.cover_add, module.cover_size, module.relations), dtype=np.int64)
+        gens.flags.writeable = False
+        module._relation_gens = gens
+    return module._relation_gens
 
 
 def hom_candidate_space(source: FiniteModule, target: FiniteModule) -> int:
@@ -496,11 +514,11 @@ def _hom_validator(
     rel_digits = source._cover_digits(_relation_generators(source))  # (#gens, g) ring coefficients
 
     def valid(candidates: np.ndarray) -> np.ndarray:
+        images = [(candidates // power) % target.size for power in powers]
         ok = np.ones(len(candidates), dtype=bool)
         for row in rel_digits:
             acc = np.zeros(len(candidates), dtype=np.int64)
-            for coeff, power in zip(row, powers):
-                yi = (candidates // power) % target.size
+            for coeff, yi in zip(row, images):
                 acc = target.add(acc, target.act_table[int(coeff), yi])
             ok &= acc == 0
         return ok
@@ -542,41 +560,32 @@ def hom_enumerate(
     return homs
 
 
-def iter_hom_images(
+def hom_candidate_blocks(
     source: FiniteModule,
     target: FiniteModule,
     cfg: EngineConfig | None = None,
     rng: np.random.Generator | None = None,
-    random_tries: int = 20_000,
-) -> Iterator[tuple[int, ...]]:
-    """Yield valid generator-image tuples lazily.
+) -> Iterator[np.ndarray]:
+    """Valid generator-image tuples as arrays of candidate indices
+    (base-|target| digits), one array per ``_BLOCK`` candidates scanned;
+    blocks without a valid candidate are skipped.
 
-    With an rng, random candidates are tried first (duplicates possible), then
-    a systematic chunked scan guarantees exhaustiveness either way.
+    Without an rng the candidates come in ascending order.  With one they
+    follow the seeded affine permutation w -> (a*w + b) mod space, gcd(a,
+    space) = 1, so either way every valid candidate comes exactly once.
     """
     space, valid = _hom_validator(source, target, cfg)
-    g = source.num_generators
-    base = target.size
+    a, b = 1, 0
     if rng is not None and space > 1:
-        draws = rng.integers(0, space, size=random_tries)
-        ok = valid(draws)
-        for w in draws[ok]:
-            yield _images_of(int(w), g, base)
-    chunk = 1 << 16
-    for start in range(0, space, chunk):
-        block = np.arange(start, min(start + chunk, space), dtype=np.int64)
+        a = int(rng.integers(1, space))
+        while gcd(a, space) != 1:
+            a = int(rng.integers(1, space))
+        b = int(rng.integers(0, space))
+    for start in range(0, space, _BLOCK):
+        block = (a * np.arange(start, min(start + _BLOCK, space), dtype=np.int64) + b) % space
         ok = valid(block)
-        for w in block[ok]:
-            yield _images_of(int(w), g, base)
-
-
-def hom_value_at(source: FiniteModule, target: FiniteModule, images: Sequence[int], x: int) -> int:
-    """Value at a single element of the map defined by generator images."""
-    digits = source._cover_digits(np.int64(source.rep[x]))
-    out = 0
-    for i, y in enumerate(images):
-        out = target.add(out, target.act_table[int(digits[i]), int(y)])
-    return int(out)
+        if ok.any():
+            yield block[ok]
 
 
 def find_bijective_hom(
@@ -586,8 +595,9 @@ def find_bijective_hom(
     cfg = cfg or DEFAULTS
     if a.size != b.size:
         return None
-    for images in iter_hom_images(a, b, cfg):
-        hom = hom_from_images(a, b, images)
-        if hom.is_bijective:
-            return hom
+    for block in hom_candidate_blocks(a, b, cfg):
+        for w in block:
+            hom = hom_from_images(a, b, _images_of(int(w), a.num_generators, b.size))
+            if hom.is_bijective:
+                return hom
     return None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from modclass import (
+    DEFAULTS,
     build_ring,
     corner_isomorphism,
     cyclic_submodule,
@@ -22,6 +23,8 @@ from modclass import (
     regular_module,
     submodule_as_module,
 )
+from modclass.decompose import _find_splitting_idempotent
+from modclass.modules import _images_of, hom_from_images, hom_image_mask
 
 
 class TestIdempotents:
@@ -76,6 +79,22 @@ class TestPrimitiveDecomposition:
                     direct = is_isomorphic(left_e, left_f)
                     assert (corner is not None) == bool(direct), (spec, e, f)
 
+    def test_class_order_matches_integer_tuple_key(self, corpus):
+        rings = list(corpus.values())
+        rings += [build_ring(s) for s in ("GF(2) x GF(2)", "GF(3) x GF(3)", "Z/30", "GF(2) x GF(4) x GF(4)")]
+        checked = 0
+        for ring in rings:
+            decomposition = primitive_decomposition(ring)
+            if decomposition.k < 2:
+                continue
+            keys = [
+                (rep.size, tuple(int(v) for v in rep.act_table.ravel()))
+                for rep in decomposition.representatives
+            ]
+            assert keys == sorted(keys), ring.label
+            checked += 1
+        assert checked >= 8
+
     def test_seed_invariance(self, corpus):
         for spec, ring in corpus.items():
             if ring.size > 32:
@@ -128,6 +147,31 @@ class TestKrullSchmidt:
                 base = krull_schmidt(module)
                 for seed in (1, 2, 3):
                     assert krull_schmidt(module, rng=np.random.default_rng(seed)) == base
+
+
+def per_tuple_splitting_idempotent(module):
+    """Reference search: valid image tuples in ascending candidate order, each
+    tested for idempotence on the table of the map it defines."""
+    g = module.num_generators
+    for w in np.flatnonzero(hom_image_mask(module, module)):
+        images = _images_of(int(w), g, module.size)
+        if images in ((0,) * g, module.gens):
+            continue
+        table = hom_from_images(module, module, images).table
+        if all(table[y] == y for y in images):
+            return images
+    return None
+
+
+class TestSplittingIdempotent:
+    def test_block_search_matches_per_tuple_loop(self, corpus):
+        for spec, ring in corpus.items():
+            modules = [regular_module(ring)]
+            if ring.size**4 <= DEFAULTS.max_homs:
+                modules.append(free_module(ring, 2))
+            for module in modules:
+                expected = per_tuple_splitting_idempotent(module)
+                assert _find_splitting_idempotent(module, DEFAULTS, None) == expected, module.label
 
 
 class TestIsIsomorphic:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from modclass import (
@@ -26,7 +27,34 @@ def e12_of_t2f2():
     return matrix_units(2, galois_field(2), upper_only=True)[(0, 1)]
 
 
+def naive_ideal(ring, side, gens):
+    """Fixed point of S -> S u (S + S) u R*S (left) and/or S*R (right), from {0}
+    and the generators."""
+    members = np.unique(np.array([0, *gens], dtype=np.int64))
+    mul = ring.mul_table
+    while True:
+        parts = [members, np.ravel(ring.add(members[:, None], members[None, :]))]
+        if side in ("left", "two-sided"):
+            parts.append(mul[:, members].ravel())
+        if side in ("right", "two-sided"):
+            parts.append(mul[members, :].ravel())
+        grown = np.unique(np.concatenate(parts))
+        if len(grown) == len(members):
+            return grown
+        members = grown
+
+
 class TestIdealGenerated:
+    def test_matches_naive_fixed_point(self, corpus):
+        rng = np.random.default_rng(0)
+        for spec, ring in corpus.items():
+            gen_sets = [[x] for x in range(ring.size)]
+            gen_sets += [rng.integers(0, ring.size, k).tolist() for k in (2, 2, 3)]
+            for side in ("left", "right", "two-sided"):
+                for gens in gen_sets:
+                    expected = tuple(int(v) for v in naive_ideal(ring, side, gens))
+                    assert ideal_generated(ring, side, gens).elements == expected, (spec, side, gens)
+
     def test_z6_two(self, z6):
         assert ideal_generated(z6, "two-sided", [2]).elements == (0, 2, 4)
 

@@ -68,6 +68,34 @@ class TestConstruction:
                 assert quotient_module(reg, sub).size * len(sub) == reg.size
 
 
+def per_row_act_table(module):
+    """Reference action table, one encode of the acted cover digits per ring element."""
+    digits = module._cover_digits(module.rep)
+    return np.stack(
+        [module.cls[module._cover_encode(module.ring.mul_table[r, digits])] for r in range(module.ring.size)]
+    )
+
+
+class TestActTable:
+    def test_block_build_matches_per_row_build(self, z6, m2f2, t2f2):
+        reg = regular_module(m2f2)
+        modules = [
+            regular_module(z6),
+            free_module(z6, 2),
+            reg,
+            free_module(t2f2, 2),
+            quotient_module(reg, cyclic_submodule(reg, 1)),
+            # 65 rows a block: 15 full blocks, then 25 rows.
+            regular_module(build_ring("Z/1000")),
+            # Two generators, 16 rows a block: 2 full blocks, then 13 rows.
+            free_module(build_ring("Z/45"), 2),
+        ]
+        for module in modules:
+            table = module.act_table
+            assert table.dtype == np.int32, module.label
+            assert np.array_equal(table, per_row_act_table(module)), module.label
+
+
 class TestDirectSum:
     def test_sizes_and_axioms(self, z6):
         reg = regular_module(z6)
