@@ -578,12 +578,11 @@ def lemma31_check(reports: list[ClassificationReport]) -> MetaReport:
     )
 
 
-def recheck_ring_axioms(rings: list[FiniteRing], cfg: EngineConfig | None = None) -> MetaReport:
+def recheck_ring_axioms(rings: list[FiniteRing]) -> MetaReport:
     """Re-verify the ring axioms of every corpus member (negative-control hook)."""
-    cfg = cfg or DEFAULTS
     findings = []
     for ring in rings:
-        report = verify_ring_axioms(ring, cfg)
+        report = verify_ring_axioms(ring)
         if not report.ok:
             findings.append(MetaFinding(ring.label, "ring-axioms", report.summary()))
     return MetaReport(name="ring-axioms", checked=len(rings), findings=findings)

@@ -10,20 +10,18 @@ from dataclasses import dataclass, replace
 class EngineConfig:
     """Caps that bound every enumeration in the engine.
 
-    ``max_ring`` bounds ring carriers at construction time.  Multiplication is
-    stored as a full table up to ``mul_table_cap`` elements and evaluated from
-    additive-generator products above it.  Axiom checks are exhaustive up to
-    ``axiom_exhaustive_cap`` and switch to ``axiom_samples`` random triples
-    beyond that.  ``ideal_enum_cap`` bounds full one-sided ideal lattice
-    enumeration.  ``max_module`` bounds module carriers, ``max_homs`` the
-    candidate space of a homomorphism enumeration, and ``flat_relation_bound``
-    the default relation length scanned by the flatness check.
+    ``max_ring`` bounds ring carriers at construction time.  Addition and
+    multiplication are stored as full tables up to ``mul_table_cap`` elements
+    and evaluated from additive-generator products above it; operations that
+    need the tables refuse rings above it.  ``ideal_enum_cap`` bounds full
+    one-sided ideal lattice enumeration.  ``max_module`` bounds module
+    carriers, ``max_homs`` the candidate space of a homomorphism enumeration,
+    and ``flat_relation_bound`` the default relation length scanned by the
+    flatness check.  Ring axiom checks are exact at every size and take no cap.
     """
 
     max_ring: int = 4096
     mul_table_cap: int = 4096
-    axiom_exhaustive_cap: int = 256
-    axiom_samples: int = 100_000
     ideal_enum_cap: int = 64
     max_module: int = 4096
     max_homs: int = 1_000_000

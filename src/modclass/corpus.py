@@ -332,7 +332,7 @@ def run_meta_suite(
     """
     cfg = cfg or DEFAULTS
     rings = builtin_corpus(cfg) if rings is None else rings
-    axiom_section = recheck_ring_axioms(rings, cfg)
+    axiom_section = recheck_ring_axioms(rings)
     bad = {f.ring_label for f in axiom_section.findings}
     rings = [r for r in rings if r.label not in bad]
     reports = [classify_ring(r, cfg) for r in rings]

@@ -185,7 +185,7 @@ def build_ring(spec: str, cfg: EngineConfig | None = None) -> FiniteRing:
     leftover = parser.text[parser.pos :].strip()
     if leftover:
         raise parser.error(f"trailing input {leftover!r}")
-    report = verify_ring_axioms(ring, cfg)
+    report = verify_ring_axioms(ring)
     if not report.ok:
         raise RingValidationError(f"{ring.label}: {report.summary()}", report=report)
     return ring

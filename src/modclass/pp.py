@@ -16,6 +16,8 @@ from .modules import FiniteModule, regular_module
 from .rings import FiniteRing
 from .verdict import Verdict
 
+_WITNESS_BLOCK = 1 << 16  # witness tuples evaluated per block
+
 
 @dataclass(frozen=True)
 class PPFormula:
@@ -81,17 +83,18 @@ def _solution_mask(module: FiniteModule, phi: PPFormula, cfg: EngineConfig) -> n
         raise SizeCapError(
             f"pp evaluation on {module.label}: witness space {space} above cap {cfg.max_homs}"
         )
-    w = np.arange(space, dtype=np.int64)
-    ok = np.ones(space, dtype=bool)
-    for row in phi.equations:
-        acc = np.zeros(space, dtype=np.int64)
-        for j, coeff in enumerate(row):
-            digit = (w // m**j) % m
-            acc = module.add(acc, module.act_table[int(coeff), digit])
-        ok &= acc == 0
     x_space = m**p
     mask = np.zeros(x_space, dtype=bool)
-    mask[np.unique(w[ok] % x_space)] = True
+    for start in range(0, space, _WITNESS_BLOCK):
+        w = np.arange(start, min(start + _WITNESS_BLOCK, space), dtype=np.int64)
+        ok = np.ones(len(w), dtype=bool)
+        for row in phi.equations:
+            acc = np.zeros(len(w), dtype=np.int64)
+            for j, coeff in enumerate(row):
+                digit = (w // m**j) % m
+                acc = module.add(acc, module.act_table[int(coeff), digit])
+            ok &= acc == 0
+        mask[w[ok] % x_space] = True
     return mask
 
 

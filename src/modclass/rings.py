@@ -3,8 +3,13 @@
 Elements of a ring of size N are the integers 0..N-1.  The additive group is
 a product of cyclic groups of orders (n_1, ..., n_t); element i decodes to its
 mixed-radix digit vector over those orders, and addition is the componentwise
-group law.  Multiplication is kept as a full N x N table for small carriers
-and evaluated bilinearly from additive-generator products above the table cap.
+group law.  The additive generators e_1, ..., e_t are the unit digit vectors.
+
+Every constructor emits only the t x t matrix of generator products e_i * e_j.
+Up to the table cap, :func:`materialize` turns it into full N x N addition
+and multiplication tables; above it, products are evaluated bilinearly from
+the generator products.  :func:`verify_ring_axioms` is exact at every size:
+biadditivity reduces the ring axioms to checks on the generators.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ class FiniteRing:
         # Decode table: row i is the mixed-radix digit vector of element i.
         idx = np.arange(self.size, dtype=np.int64)
         self._digits = (idx[:, None] // self._weights[None, :]) % self._orders_arr[None, :]
+        # The additive generators e_i as element indices (0 where n_i = 1).
+        self._gens = self.encode(np.eye(len(orders), dtype=np.int64))
 
         if mul_table is None and gen_products is None:
             raise ValueError("need mul_table or gen_products")
@@ -64,6 +71,7 @@ class FiniteRing:
         if self.mul_table is not None and self.mul_table.shape != (self.size, self.size):
             raise ValueError("mul_table has wrong shape")
         self._gen_products = None if gen_products is None else _as_int32(gen_products)
+        self._table_cap: int | None = None  # set on rings built above the table cap
         self._add_table: np.ndarray | None = None
         self._neg_table: np.ndarray | None = None
         self._units: frozenset[int] | None = None
@@ -91,18 +99,16 @@ class FiniteRing:
     def require_tables(self, op: str) -> None:
         if self.mul_table is None:
             raise SizeCapError(
-                f"{op}: ring {self.label} (size {self.size}) has no full tables; "
-                f"raise the table cap to enable this operation"
+                f"{op} needs full tables, but ring {self.label} has {self.size} elements, "
+                f"above the table cap {self._table_cap} (EngineConfig.mul_table_cap) "
+                f"it was built with"
             )
 
     @property
     def add_table(self) -> np.ndarray:
         if self._add_table is None:
             self.require_tables("add_table")
-            idx = np.arange(self.size, dtype=np.int64)
-            self._add_table = _as_int32(
-                self.encode(self.decode(idx)[:, None, :] + self.decode(idx)[None, :, :])
-            )
+            self._add_table = _addition_table(self)
         return self._add_table
 
     @property
@@ -136,8 +142,7 @@ class FiniteRing:
     def gen_products(self) -> np.ndarray:
         """Products of the additive generators e_i * e_j, as element indices."""
         if self._gen_products is None:
-            gens = _as_int32(self._weights)  # e_i has digit vector delta_i, index w_i
-            self._gen_products = self.mul_table[np.ix_(gens, gens)]
+            self._gen_products = self.mul_table[np.ix_(self._gens, self._gens)]
         return self._gen_products
 
     def mul(self, a, b):
@@ -184,15 +189,81 @@ class FiniteRing:
         return f"FiniteRing({self.label!r}, size={self.size})"
 
 
+# -- tables from generator rows ---------------------------------------------------
+
+_FILL_BLOCK = 1 << 18  # table entries per gather
+
+
+def _fill(ring: FiniteRing, row0: np.ndarray, gen_rows: np.ndarray, op) -> np.ndarray:
+    """The N x N table whose row a is row0 'plus' a_i times gen_rows[i], over all i.
+
+    ``op(rows, step)`` adds the row ``step`` to each of ``rows``.  Rows are
+    filled in index order: once the rows with every digit from i on zero are
+    done, the rows whose i-th digit lies in [m, 2m) are op(rows with digit
+    i in [0, m), m * gen_rows[i]), so generator i takes log2(n_i) doubling
+    steps.  Each step runs in row blocks of at most ``_FILL_BLOCK`` entries.
+    """
+    n = ring.size
+    out = np.empty((n, n), dtype=np.int32)
+    out[0] = row0
+    chunk = max(1, _FILL_BLOCK // n)
+    for step, order, w in zip(gen_rows, ring.orders, ring._weights.tolist()):
+        m = 1
+        while m < order:
+            rows = min(m, order - m) * w
+            for r in range(0, rows, chunk):
+                s = min(rows, r + chunk)
+                out[m * w + r : m * w + s] = op(out[r:s], step)
+            step = op(step, step)
+            m *= 2
+    return out
+
+
+def _addition_table(ring: FiniteRing) -> np.ndarray:
+    # Row a + e_i is row a composed with the translation b -> b + e_i.
+    units = np.eye(len(ring.orders), dtype=np.int64)
+    shifts = _as_int32([ring.encode(ring._digits + d) for d in units])
+    return _fill(ring, np.arange(ring.size, dtype=np.int32), shifts, lambda rows, s: s[rows])
+
+
+def _add_rows(add: np.ndarray):
+    return lambda rows, s: add[rows, s]
+
+
+def materialize(ring: FiniteRing) -> np.ndarray:
+    """The multiplication table of a ring from its generator products.
+
+    The generator rows e_i * b come from the bilinear evaluation; every other
+    row follows by row(a + k e_i) = row(a) + k (e_i * b).  Also builds the
+    addition table, which the fill needs.
+    """
+    add = ring._add_table = _addition_table(ring)
+    idx = np.arange(ring.size, dtype=np.int64)
+    gen_rows = _as_int32([ring._mul_bilinear(int(g), idx) for g in ring._gens])
+    return _fill(ring, np.zeros(ring.size, dtype=np.int32), gen_rows, _add_rows(add))
+
+
 # -- axiom verification --------------------------------------------------------
 
 
 @dataclass
 class RingAxiomReport:
-    """Pass/fail record per ring axiom, with witnesses for failures."""
+    """Pass/fail record per ring axiom, with witnesses for failures.
+
+    The check is exact and works on the t additive generators e_i of orders
+    n_i.  A law fails with witnesses of these kinds:
+
+    - ``("right_distributivity", a, b)``: a * b is not the sum over i of
+      a_i (e_i * b); ``("right_order", e_i, b)``: n_i (e_i * b) is not 0;
+    - ``("left_distributivity", a, b)`` and ``("left_order", a, e_j)``: the
+      same for the right argument;
+    - ``("associativity", e_i, e_j, e_k)``: a generator triple;
+    - ``("identity", e_i)``: 1 * e_i or e_i * 1 is not e_i.
+
+    ``checked_triples`` counts the t^3 generator triples.
+    """
 
     size: int
-    mode: str  # "exhaustive" or "sampled"
     has_identity: bool
     associative: bool
     left_distributive: bool
@@ -212,7 +283,7 @@ class RingAxiomReport:
     def summary(self) -> str:
         status = "ok" if self.ok else "FAILED"
         return (
-            f"axioms {status} ({self.mode}, {self.checked_triples} triples): "
+            f"axioms {status} (exact, {self.checked_triples} generator triples): "
             f"identity={self.has_identity} assoc={self.associative} "
             f"ldist={self.left_distributive} rdist={self.right_distributive}"
         )
@@ -221,91 +292,68 @@ class RingAxiomReport:
 _MAX_WITNESSES = 8
 
 
-def verify_ring_axioms(ring: FiniteRing, cfg: EngineConfig | None = None) -> RingAxiomReport:
-    """Check identity, associativity, and both distributive laws.
+def _witnesses(kind: str, bad: np.ndarray, *labels: np.ndarray) -> list[tuple]:
+    """Up to _MAX_WITNESSES failures: positions in ``bad``, mapped through ``labels``."""
+    rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))[:_MAX_WITNESSES]
+    pos = np.argwhere(bad[rows])[:_MAX_WITNESSES]
+    pos[:, 0] = rows[pos[:, 0]]
+    return [(kind, *(int(label[i]) for label, i in zip(labels, p))) for p in pos]
 
-    Exhaustive over all triples when the carrier is within the configured cap,
-    randomized sampling (fixed seed, reproducible) above it.  Failures are
-    reported, never raised.
+
+def verify_ring_axioms(ring: FiniteRing) -> RingAxiomReport:
+    """Check identity, associativity, and both distributive laws, exactly.
+
+    Right distributivity is additivity in the left argument: a * b is the sum
+    of a_i (e_i * b), where the digits a_i run over [0, n_i) and so need
+    n_i (e_i * b) = 0.  A table is checked against the doubling fill of its
+    own generator rows, and its transpose against that of its generator
+    columns; a ring without tables is biadditive by construction, so only
+    the orders are checked.  Given both laws, associativity and the identity
+    need checking on the generators only (Light's associativity test carried
+    over to biadditive maps).  Each check sets only its own flag.  Failures
+    are reported, never raised.
     """
-    cfg = cfg or DEFAULTS
     n = ring.size
-    one = ring.one
+    gens = ring._gens
     idx = np.arange(n, dtype=np.int64)
-
-    has_identity = bool(
-        np.array_equal(ring.mul(np.full(n, one), idx), idx)
-        and np.array_equal(ring.mul(idx, np.full(n, one)), idx)
-    )
-
     failures: list[tuple] = []
-    assoc_ok = True
-    ldist_ok = True
-    rdist_ok = True
 
-    if n <= cfg.axiom_exhaustive_cap:
-        mode = "exhaustive"
-        checked = n * n * n
-        for a in range(n):
-            ab = ring.mul(np.full(n, a), idx)  # row: a*b over b
-            lhs = ring.mul(ab[:, None], idx[None, :])  # (a*b)*c
-            rhs = ring.mul(np.full((n, n), a), ring.mul(idx[:, None], idx[None, :]))
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                assoc_ok = False
-                for b, c in bad[:_MAX_WITNESSES]:
-                    failures.append(("associativity", a, int(b), int(c)))
-            bc = ring.add(idx[:, None], idx[None, :])  # b+c
-            lhs = ring.mul(np.full((n, n), a), bc)  # a*(b+c)
-            rhs = ring.add(ab[:, None], ab[None, :])  # a*b + a*c
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                ldist_ok = False
-                for b, c in bad[:_MAX_WITNESSES]:
-                    failures.append(("left_distributivity", a, int(b), int(c)))
-            ba = ring.mul(idx, np.full(n, a))  # b*a over b
-            lhs = ring.mul(bc, np.full((n, n), a))  # (b+c)*a
-            rhs = ring.add(ba[:, None], ba[None, :])  # b*a + c*a
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                rdist_ok = False
-                for b, c in bad[:_MAX_WITNESSES]:
-                    failures.append(("right_distributivity", int(b), int(c), a))
-    else:
-        mode = "sampled"
-        checked = cfg.axiom_samples
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, n, size=checked)
-        b = rng.integers(0, n, size=checked)
-        c = rng.integers(0, n, size=checked)
-        bad = np.nonzero(ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)))[0]
-        if bad.size:
-            assoc_ok = False
-            for i in bad[:_MAX_WITNESSES]:
-                failures.append(("associativity", int(a[i]), int(b[i]), int(c[i])))
-        bad = np.nonzero(
-            ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c))
-        )[0]
-        if bad.size:
-            ldist_ok = False
-            for i in bad[:_MAX_WITNESSES]:
-                failures.append(("left_distributivity", int(a[i]), int(b[i]), int(c[i])))
-        bad = np.nonzero(
-            ring.mul(ring.add(b, c), a) != ring.add(ring.mul(b, a), ring.mul(c, a))
-        )[0]
-        if bad.size:
-            rdist_ok = False
-            for i in bad[:_MAX_WITNESSES]:
-                failures.append(("right_distributivity", int(b[i]), int(c[i]), int(a[i])))
+    def vanishes(x):  # n_i * x[i, b] == 0 for each generator i
+        return (ring.decode(x) * ring._orders_arr[:, None, None] % ring._orders_arr == 0).all(axis=-1)
+
+    rows = np.stack([ring.mul(g, idx) for g in gens])  # e_i * b
+    cols = np.stack([ring.mul(idx, g) for g in gens])  # b * e_j, one row per j
+    bad = ~vanishes(rows)
+    failures += _witnesses("right_order", bad, gens, idx)
+    right_ok = not bad.any()
+    bad = ~vanishes(cols)
+    failures += _witnesses("left_order", bad.T, idx, gens)
+    left_ok = not bad.any()
+    if ring.mul_table is not None:
+        table = ring.mul_table
+        zeros = np.zeros(n, dtype=np.int32)
+        bad = table != _fill(ring, zeros, rows, _add_rows(ring.add_table))
+        failures += _witnesses("right_distributivity", bad, idx, idx)
+        right_ok = right_ok and not bad.any()
+        bad = table.T != _fill(ring, zeros, cols, _add_rows(ring.add_table))
+        failures += _witnesses("left_distributivity", bad.T, idx, idx)
+        left_ok = left_ok and not bad.any()
+
+    gp = ring.gen_products
+    bad = ring.mul(gp[:, :, None], gens[None, None, :]) != ring.mul(gens[:, None, None], gp[None, :, :])
+    failures += _witnesses("associativity", bad, gens, gens, gens)
+    assoc_ok = not bad.any()
+
+    bad = (ring.mul(ring.one, gens) != gens) | (ring.mul(gens, ring.one) != gens)
+    failures += _witnesses("identity", bad, gens)
 
     return RingAxiomReport(
         size=n,
-        mode=mode,
-        has_identity=has_identity,
+        has_identity=not bad.any(),
         associative=assoc_ok,
-        left_distributive=ldist_ok,
-        right_distributive=rdist_ok,
-        checked_triples=checked,
+        left_distributive=left_ok,
+        right_distributive=right_ok,
+        checked_triples=len(gens) ** 3,
         failures=failures,
     )
 
@@ -344,8 +392,14 @@ def _check_size(size: int, label: str, cfg: EngineConfig) -> None:
         raise SizeCapError(f"{label}: carrier size {size} exceeds ring cap {cfg.max_ring}")
 
 
-def _maybe_table(size: int, cfg: EngineConfig) -> bool:
-    return size <= cfg.mul_table_cap
+def _from_gen_products(orders, one: int, label: str, gp, cfg: EngineConfig) -> FiniteRing:
+    """The one exit of every constructor: full tables exactly up to the table cap."""
+    ring = FiniteRing(orders, one=one, label=label, gen_products=gp)
+    if ring.size <= cfg.mul_table_cap:
+        ring.mul_table = materialize(ring)
+    else:
+        ring._table_cap = cfg.mul_table_cap
+    return ring
 
 
 def cyclic_ring(n: int, label: str | None = None, cfg: EngineConfig | None = None) -> FiniteRing:
@@ -355,11 +409,7 @@ def cyclic_ring(n: int, label: str | None = None, cfg: EngineConfig | None = Non
         raise ValueError(f"modulus must be positive, got {n}")
     label = label or f"Z/{n}"
     _check_size(n, label, cfg)
-    if _maybe_table(n, cfg):
-        idx = np.arange(n, dtype=np.int64)
-        table = (idx[:, None] * idx[None, :]) % n
-        return FiniteRing((n,), one=1 % n, label=label, mul_table=table)
-    return FiniteRing((n,), one=1 % n, label=label, gen_products=_as_int32([[1 % n]]))
+    return _from_gen_products((n,), 1 % n, label, [[1 % n]], cfg)
 
 
 # Polynomial helpers over the prime field F_p; coefficient tuples, index = degree.
@@ -370,17 +420,6 @@ def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return c[:i]
-
-
-def _poly_mul(a, b, p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
 
 
 def _poly_mod(a, m, p: int) -> tuple[int, ...]:
@@ -458,7 +497,7 @@ def least_irreducible_poly(p: int, k: int) -> tuple[int, ...]:
 
 
 def galois_field(q: int, label: str | None = None, cfg: EngineConfig | None = None) -> FiniteRing:
-    """GF(q) for a prime power q, on the least irreducible polynomial."""
+    """GF(q) for a prime power q: F_p[x] modulo the least irreducible polynomial."""
     cfg = cfg or DEFAULTS
     if q > 256:
         raise ValueError(f"GF({q}): field size above 256 not supported")
@@ -466,26 +505,9 @@ def galois_field(q: int, label: str | None = None, cfg: EngineConfig | None = No
     label = label or f"GF({q})"
     _check_size(q, label, cfg)
     if k == 1:
-        ring = cyclic_ring(p, label=label, cfg=cfg)
-        return ring
-
-    f = least_irreducible_poly(p, k)
-    # Element i has base-p digits = polynomial coefficients, degree < k.
-    digits = (np.arange(q)[:, None] // (p ** np.arange(k))[None, :]) % p  # (q, k)
-    conv = np.einsum("ai,bj->abij", digits, digits)  # (q, q, k, k)
-    full = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            full[:, :, i + j] += conv[:, :, i, j]
-    # Reduction table: x^m mod f as a length-k coefficient vector.
-    rem = np.zeros((2 * k - 1, k), dtype=np.int64)
-    for m in range(2 * k - 1):
-        r = _poly_mod((0,) * m + (1,), f, p)
-        for d, c in enumerate(r):
-            rem[m, d] = c
-    reduced = np.einsum("abm,md->abd", full, rem) % p
-    table = (reduced * (p ** np.arange(k))[None, None, :]).sum(axis=2)
-    return FiniteRing((p,) * k, one=1, label=label, mul_table=table)
+        return cyclic_ring(p, label=label, cfg=cfg)
+    gp = _poly_gen_products(cyclic_ring(p, cfg=cfg), least_irreducible_poly(p, k))
+    return _from_gen_products((p,) * k, 1, label, gp, cfg)
 
 
 def _square_positions(n: int, upper_only: bool) -> list[tuple[int, int]]:
@@ -506,61 +528,22 @@ def _matrix_like_ring(
     if scalars.mul_table is None:
         raise SizeCapError(f"{label}: scalar ring too large for matrix construction")
     positions = _square_positions(n, upper_only)
-    npos = len(positions)
-    size = scalars.size**npos
-    _check_size(size, label, cfg)
     s = scalars.size
+    size = s ** len(positions)
+    _check_size(size, label, cfg)
     pos_index = {pos: a for a, pos in enumerate(positions)}
+    one = sum(scalars.one * s**a for a, (i, j) in enumerate(positions) if i == j)
 
-    idx = np.arange(size, dtype=np.int64)
-    entry = (idx[:, None] // (s ** np.arange(npos))[None, :]) % s  # (size, npos)
-
-    def entry_col(ij):
-        """Column of scalar indices at matrix position ij, zero if absent."""
-        a = pos_index.get(ij)
-        return entry[:, a] if a is not None else np.zeros(size, dtype=np.int64)
-
-    one_digits = [scalars.one if i == j else 0 for (i, j) in positions]
-    one = int(sum(d * s**a for a, d in enumerate(one_digits)))
-
-    if not _maybe_table(size, cfg):
-        # Structure-constant mode: products of additive generators only.  A
-        # generator is a single scalar generator w placed at one position.
-        ts = len(scalars.orders)
-        t = npos * ts
-        sgen = scalars._weights  # scalar-ring additive generators, as indices
-        gp = np.zeros((t, t), dtype=np.int64)
-        sdigits = scalars.decode(np.arange(scalars.size))
-        for m1 in range(t):
-            (r, c), s1 = positions[m1 // ts], int(sgen[m1 % ts])
-            for m2 in range(t):
-                (r2, c2), s2 = positions[m2 // ts], int(sgen[m2 % ts])
-                if c != r2:
-                    continue
-                if upper_only and (r, c2) not in pos_index:
-                    continue
-                v = scalars.mul(s1, s2)
-                block = pos_index[(r, c2)]
-                dv = sdigits[v]
-                gp[m1, m2] = int(
-                    sum(int(dv[ss]) * scalars.size ** block * int(scalars._weights[ss]) for ss in range(ts))
-                )
-        return FiniteRing(scalars.orders * npos, one=one, label=label, gen_products=gp)
-
-    table = np.zeros((size, size), dtype=np.int64)
-    sadd = scalars.add_table
-    smul = scalars.mul_table
-    weight = 1
-    for (i, j) in positions:
-        acc = np.zeros((size, size), dtype=np.int64)
-        for k in range(n):
-            lhs = entry_col((i, k))
-            rhs = entry_col((k, j))
-            term = smul[lhs[:, None], rhs[None, :]]
-            acc = sadd[acc, term]
-        table += acc.astype(np.int64) * weight
-        weight *= s
-    return FiniteRing(scalars.orders * npos, one=one, label=label, mul_table=table)
+    # A generator is a scalar generator g placed at one position; the
+    # product (g E_rc)(g' E_cc') is (g g') E_rc', zero unless the inner
+    # indices meet (and, for triangular rings, rc' is upper).
+    gens = [(pos, int(g)) for pos in positions for g in scalars._gens]
+    gp = np.zeros((len(gens), len(gens)), dtype=np.int64)
+    for m1, ((r, c), g1) in enumerate(gens):
+        for m2, ((r2, c2), g2) in enumerate(gens):
+            if c == r2 and (r, c2) in pos_index:
+                gp[m1, m2] = scalars.mul(g1, g2) * s ** pos_index[(r, c2)]
+    return _from_gen_products(scalars.orders * len(positions), one, label, gp, cfg)
 
 
 def matrix_ring(n: int, scalars: FiniteRing, cfg: EngineConfig | None = None) -> FiniteRing:
@@ -592,22 +575,41 @@ def product_ring(a: FiniteRing, b: FiniteRing, cfg: EngineConfig | None = None) 
     cfg = cfg or DEFAULTS
     label = f"{a.label} x {b.label}"
     size = a.size * b.size
-    one = a.one + a.size * b.one
     _check_size(size, label, cfg)
-    if not _maybe_table(size, cfg) or a.mul_table is None or b.mul_table is None:
-        # Cross products of generators from different factors vanish.
-        ta, tb = len(a.orders), len(b.orders)
-        gp = np.zeros((ta + tb, ta + tb), dtype=np.int64)
-        gp[:ta, :ta] = a.gen_products
-        gp[ta:, ta:] = np.asarray(b.gen_products, dtype=np.int64) * a.size
-        return FiniteRing(a.orders + b.orders, one=one, label=label, gen_products=gp)
-    idx = np.arange(size, dtype=np.int64)
-    ai, bi = idx % a.size, idx // a.size
-    table = (
-        a.mul_table[ai[:, None], ai[None, :]].astype(np.int64)
-        + b.mul_table[bi[:, None], bi[None, :]].astype(np.int64) * a.size
-    )
-    return FiniteRing(a.orders + b.orders, one=one, label=label, mul_table=table)
+    # Cross products of generators from different factors vanish.
+    ta, tb = len(a.orders), len(b.orders)
+    gp = np.zeros((ta + tb, ta + tb), dtype=np.int64)
+    gp[:ta, :ta] = a.gen_products
+    gp[ta:, ta:] = np.asarray(b.gen_products, dtype=np.int64) * a.size
+    return _from_gen_products(a.orders + b.orders, a.one + a.size * b.one, label, gp, cfg)
+
+
+def _poly_gen_products(scalars: FiniteRing, coeffs: list[int]) -> np.ndarray:
+    """Generator products of S[x]/(f), f monic with scalar-index coefficients."""
+    d = len(coeffs) - 1
+    s = scalars.size
+    # x^m mod f for m < 2d-1, as length-d vectors of scalar indices.
+    rem = np.zeros((2 * d - 1, d), dtype=np.int64)
+    for m in range(d):
+        rem[m, m] = scalars.one
+    for m in range(d, 2 * d - 1):
+        # x^m = x * x^(m-1); then reduce the overflow coefficient via
+        # x^d = -(c_0 + ... + c_{d-1} x^{d-1}).
+        lead = int(rem[m - 1, d - 1])
+        rem[m, 1:] = rem[m - 1, : d - 1]
+        if lead:
+            for t in range(d):
+                rem[m, t] = scalars.sub(int(rem[m, t]), scalars.mul(lead, coeffs[t]))
+
+    # Generator (g x^i) times (g' x^j) is (g g') x^(i+j), with x^(i+j)
+    # reduced through the rem table.
+    gens = [(i, int(g)) for i in range(d) for g in scalars._gens]
+    gp = np.zeros((len(gens), len(gens)), dtype=np.int64)
+    for m1, (i, g1) in enumerate(gens):
+        for m2, (j, g2) in enumerate(gens):
+            prod = scalars.mul(g1, g2)
+            gp[m1, m2] = sum(scalars.mul(prod, int(c)) * s**t for t, c in enumerate(rem[i + j]))
+    return gp
 
 
 def poly_quotient_ring(
@@ -633,72 +635,9 @@ def poly_quotient_ring(
     if scalars.mul_table is None:
         raise SizeCapError(f"{label}: scalar ring too large")
     d = len(coeffs) - 1
-    size = scalars.size**d
-    _check_size(size, label, cfg)
-
-    s = scalars.size
-    # x^m mod f for m < 2d-1, as length-d vectors of scalar indices.
-    rem = np.zeros((2 * d - 1, d), dtype=np.int64)
-    for m in range(d):
-        rem[m, m] = scalars.one
-    for m in range(d, 2 * d - 1):
-        # x^m = x * x^(m-1); then reduce the overflow coefficient via
-        # x^d = -(c_0 + ... + c_{d-1} x^{d-1}).
-        prev = rem[m - 1]
-        shifted = np.zeros(d + 1, dtype=np.int64)
-        shifted[1:] = prev
-        lead = int(shifted[d])
-        row = shifted[:d].copy()
-        if lead:
-            for t in range(d):
-                row[t] = scalars.add(
-                    int(row[t]), scalars.neg(scalars.mul(lead, coeffs[t]))
-                )
-        rem[m] = row
-
-    if not _maybe_table(size, cfg):
-        # Structure-constant mode: generator (x^i, w) x (x^j, w') lands at
-        # x^(i+j) reduced by the rem table, with scalar part (w w') rem_t.
-        ts = len(scalars.orders)
-        t = d * ts
-        sgen = scalars._weights
-        sdigits = scalars.decode(np.arange(scalars.size))
-        gp = np.zeros((t, t), dtype=np.int64)
-        for m1 in range(t):
-            i, w1 = m1 // ts, int(sgen[m1 % ts])
-            for m2 in range(t):
-                j, w2 = m2 // ts, int(sgen[m2 % ts])
-                prod = scalars.mul(w1, w2)
-                index = 0
-                for tt in range(d):
-                    c = int(rem[i + j, tt])
-                    if c == 0:
-                        continue
-                    v = scalars.mul(prod, c)
-                    dv = sdigits[v]
-                    index += int(
-                        sum(int(dv[ss]) * s**tt * int(scalars._weights[ss]) for ss in range(ts))
-                    )
-                gp[m1, m2] = index
-        return FiniteRing(scalars.orders * d, one=int(scalars.one), label=label, gen_products=gp)
-
-    idx = np.arange(size, dtype=np.int64)
-    digit = (idx[:, None] // (s ** np.arange(d))[None, :]) % s  # (size, d)
-    sadd = scalars.add_table
-    smul = scalars.mul_table
-    acc = np.zeros((size, size, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            prod = smul[digit[:, i][:, None], digit[:, j][None, :]]  # (size, size)
-            for t in range(d):
-                c = int(rem[i + j, t])
-                if c == 0:
-                    continue
-                term = smul[prod, c]
-                acc[:, :, t] = sadd[acc[:, :, t], term]
-    table = (acc * (s ** np.arange(d))[None, None, :]).sum(axis=2)
-    one = int(scalars.one)  # the constant polynomial 1
-    return FiniteRing(scalars.orders * d, one=one, label=label, mul_table=table)
+    _check_size(scalars.size**d, label, cfg)
+    gp = _poly_gen_products(scalars, coeffs)
+    return _from_gen_products(scalars.orders * d, scalars.one, label, gp, cfg)
 
 
 def ring_from_tables(
@@ -723,7 +662,7 @@ def ring_from_tables(
     if not 0 <= int(one) < size:
         raise RingValidationError(f"{label}: identity index {one} out of range")
     ring = FiniteRing(orders, one=int(one), label=label, mul_table=table)
-    report = verify_ring_axioms(ring, cfg)
+    report = verify_ring_axioms(ring)
     if not report.ok:
         raise RingValidationError(f"{label}: {report.summary()}", report=report)
     return ring

@@ -3,10 +3,12 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from modclass import (
     ClassificationReport,
+    build_ring,
     classify_matrix_family,
     classify_ring,
     lemma31_check,
@@ -67,6 +69,38 @@ class TestClassifyRing:
             assert is_isomorphic(
                 decomposition.representatives[0], regular_module(ring)
             ).value, spec
+
+
+def _polyquot_cases():
+    """Seeded monic polynomials over GF(2), GF(3), GF(5) with at most 256 residues."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for p, max_degree in ((2, 8), (3, 5), (5, 3)):
+        for _ in range(7):
+            degree = int(rng.integers(1, max_degree + 1))
+            cases.append((p, [int(c) for c in rng.integers(0, p, size=degree)] + [1]))
+    return cases
+
+
+class TestPolyQuotOracle:
+    """GF(p)[x]/(f) against the factorization f = prod f_i^e_i from sympy.
+
+    By the Chinese remainder theorem the ring is the product of the local
+    rings GF(p)[x]/(f_i^e_i): one block per distinct factor, each of size
+    p^(e_i deg f_i), with radical of size p^(deg f - sum deg f_i).
+    """
+
+    @pytest.mark.parametrize("p, coeffs", _polyquot_cases(), ids=lambda c: str(c).replace(" ", ""))
+    def test_blocks_match_factorization(self, p, coeffs):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        factors = sympy.Poly(coeffs[::-1], x, modulus=p).factor_list()[1]
+        degree = len(coeffs) - 1
+        report = classify_ring(build_ring(f"PolyQuot(GF({p}),[{','.join(map(str, coeffs))}])"))
+        assert report.k == len(factors)
+        assert report.radical_size == p ** (degree - sum(f.degree() for f, _ in factors))
+        expected = sorted([p ** (e * f.degree()), 1] for f, e in factors)
+        assert sorted(report.indecomposables) == expected
 
 
 class TestMatrixFamily:

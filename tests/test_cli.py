@@ -60,6 +60,12 @@ class TestClassify:
         assert code == EXIT_CAPS
         assert "cap" in err.lower()
 
+    def test_table_cap_error_names_size_and_cap(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "Z/5000", "--max-ring", "10000")
+        assert code == EXIT_CAPS
+        assert "5000 elements" in err and "table cap 4096" in err
+        assert "raise the table cap" not in err
+
     def test_no_specs(self, capsys):
         code, _, err = run_cli(capsys, "classify")
         assert code == EXIT_SPEC

@@ -1,10 +1,12 @@
 """pp-formula evaluation, definable subgroups, and index invariants."""
 
+import numpy as np
 import pytest
 
 from modclass import (
     PPFormula,
     baur_monk_invariant,
+    build_ring,
     direct_sum,
     library_formulas,
     library_pairs,
@@ -36,6 +38,23 @@ class TestEvaluate:
         sols = pp_evaluate(reg_z4, phi)
         assert len(sols) == 4
         assert all(s % 4 == s // 4 for s in sols)
+
+    def test_blocked_evaluation_matches_one_shot(self):
+        # x1 = 2z, x2 = 6z over Z/64: 64^3 witness tuples span four blocks.
+        ring = build_ring("Z/64")
+        module = regular_module(ring)
+        phi = scalar_formula(ring, 2, 1, [[1, 0, -2], [0, 1, -6]])
+        m = module.size
+        w = np.arange(m**3)
+        ok = np.ones(m**3, dtype=bool)
+        for row in phi.equations:
+            acc = np.zeros(m**3, dtype=np.int64)
+            for j, coeff in enumerate(row):
+                acc = module.add(acc, module.act_table[int(coeff), (w // m**j) % m])
+            ok &= acc == 0
+        expected = np.unique(w[ok] % m**2)
+        assert len(expected) == 32
+        assert pp_evaluate(module, phi).tolist() == expected.tolist()
 
     def test_monotone_under_extra_equations(self, z6):
         reg = regular_module(z6)

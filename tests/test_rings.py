@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from modclass import (
     EngineConfig,
+    FiniteRing,
     RingSpecError,
     RingValidationError,
     SizeCapError,
@@ -75,6 +76,58 @@ class TestConstructions:
         assert err.value.report is not None
         assert not err.value.report.ok
 
+    def test_corrupted_entry_at_4096_detected(self):
+        idx = np.arange(4096, dtype=np.int32)
+        table = (idx[:, None] * idx[None, :]) % 4096
+        table[1234, 2345] = (table[1234, 2345] + 1) % 4096
+        with pytest.raises(RingValidationError) as err:
+            ring_from_tables([4096], 1, table)
+        report = err.value.report
+        assert not report.right_distributive and not report.left_distributive
+        assert ("right_distributivity", 1234, 2345) in report.failures
+
+    def test_non_associative_biadditive_table(self):
+        # A 512-element GF(2)-algebra with identity e_0 and random products of
+        # the other generators: biadditive and order-compatible, not associative.
+        t = 9
+        gens = 1 << np.arange(t)
+        gp = np.random.default_rng(0).integers(0, 2**t, size=(t, t))
+        gp[0, :] = gens
+        gp[:, 0] = gens
+        bits = (np.arange(2**t)[:, None] >> np.arange(t)) & 1
+        gp_bits = (gp[..., None] >> np.arange(t)) & 1
+        table = (np.einsum("ai,bj,ijd->abd", bits, bits, gp_bits) % 2) @ gens
+        report = verify_ring_axioms(FiniteRing((2,) * t, 1, "nonassoc", mul_table=table))
+        assert report.has_identity and report.left_distributive and report.right_distributive
+        assert not report.associative
+        triples = [f[1:] for f in report.failures if f[0] == "associativity"]
+        assert triples and all(set(abc) <= set(gens.tolist()) for abc in triples)
+        assert report.checked_triples == t**3
+
+    def test_order_incompatible_table_rejected(self):
+        # Z/2 x Z/4 with e_0 claimed as the identity: 2 * (e_0 * e_1) = 2 e_1 != 0.
+        lean = FiniteRing((2, 4), 1, "lean", gen_products=[[1, 2], [2, 0]])
+        idx = np.arange(8)
+        table = lean.mul(idx[:, None], idx[None, :])
+        with pytest.raises(RingValidationError) as err:
+            ring_from_tables([2, 4], 1, table)
+        report = err.value.report
+        assert not report.right_distributive and not report.left_distributive
+        kinds = {f[0] for f in report.failures}
+        assert {"right_order", "left_order"} <= kinds
+        assert ("right_order", 1, 2) in report.failures
+
+    def test_right_but_not_left_distributive(self):
+        # Orders (2, 2), e_0 = 1 the identity, row of e_1 the map g: additive
+        # in the left argument by construction, but e_1 * (e_0 + e_1) = 1
+        # while e_1 * e_0 + e_1 * e_1 = 2.
+        g = (0, 2, 0, 1)
+        table = [[(b if a & 1 else 0) ^ (g[b] if a & 2 else 0) for b in range(4)] for a in range(4)]
+        report = verify_ring_axioms(FiniteRing((2, 2), 1, "rdist", mul_table=table))
+        assert not report.left_distributive
+        assert report.right_distributive and report.associative and report.has_identity
+        assert ("left_distributivity", 2, 3) in report.failures
+
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             cyclic_ring(5000, cfg=EngineConfig(max_ring=4096))
@@ -131,21 +184,34 @@ class TestEncoding:
 class TestStructConstMode:
     """Rings above the table cap evaluate products from generator products."""
 
-    def test_matrix_ring_agrees_with_table_mode(self):
-        tabled = matrix_ring(2, galois_field(3))
-        lean = matrix_ring(2, galois_field(3), cfg=EngineConfig(mul_table_cap=16))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "M(2,GF(3))",
+            "Z/12",
+            "GF(9)",
+            "GF(16)",
+            "T(2,GF(4))",
+            "Z/4 x GF(4)",
+            "PolyQuot(GF(2),[1,1,0,1])",
+            "PolyQuot(Z/4,[2,0,1])",
+            "PolyQuot(GF(4),[2,1,1])",
+        ],
+    )
+    def test_lean_agrees_with_table_mode(self, spec):
+        tabled = build_ring(spec)
+        lean = build_ring(spec, cfg=EngineConfig(mul_table_cap=tabled.size - 1))
         assert lean.mul_table is None
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 81, size=500)
-        b = rng.integers(0, 81, size=500)
-        assert np.array_equal(lean.mul(a, b), tabled.mul_table[a, b])
+        idx = np.arange(tabled.size)
+        assert np.array_equal(lean.mul(idx[:, None], idx[None, :]), tabled.mul_table)
 
     def test_big_cyclic(self):
         ring = cyclic_ring(10_000, cfg=EngineConfig(max_ring=100_000))
         assert ring.mul_table is None
         assert ring.mul(123, 456) == (123 * 456) % 10_000
         assert ring.add(9_999, 2) == 1
-        assert verify_ring_axioms(ring).mode == "sampled"
+        report = verify_ring_axioms(ring)
+        assert report.ok and report.checked_triples == 1
 
     def test_matrix_units_multiply(self):
         scalars = galois_field(2)
