@@ -230,10 +230,6 @@ class DecompositionSignature:
     registry: IndecomposableRegistry
     entries: tuple[tuple[int, int], ...]  # (class_id, multiplicity)
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
-
     def sizes(self) -> tuple[tuple[int, int], ...]:
         """(indecomposable size, multiplicity) pairs, sorted by size."""
         return tuple(

@@ -35,10 +35,6 @@ class Ideal:
         return x in set(self.elements)
 
     @property
-    def is_zero(self) -> bool:
-        return self.elements == (0,)
-
-    @property
     def is_whole_ring(self) -> bool:
         return len(self.elements) == self.ring.size
 
@@ -312,11 +308,7 @@ def quotient_ring(
         raise ConsistencyError(f"quotient of {ring.label}: size mismatch")
 
     # Least element index per coset, for deterministic representatives.
-    reps = np.full(new_size, -1, dtype=np.int64)
-    for x in range(ring.size):
-        q = new_index[x]
-        if reps[q] < 0:
-            reps[q] = x
+    reps = np.unique(new_index, return_index=True)[1]
     mul_q = new_index[ring.mul_table[np.ix_(reps, reps)]]
     one_q = int(new_index[ring.one])
     label = label or f"({ring.label})/[{len(ideal)}]"

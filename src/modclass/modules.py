@@ -1,26 +1,30 @@
 """Finite left modules given by presentations over a finite ring.
 
-A module is the quotient of a free cover R^g by a relation submodule K.  The
-carrier relabels cosets 0..m-1 in order of their least free-cover index, so
-representatives are deterministic.  Elements of the free cover R^g are single
-integers with base-|R| digits as coordinates.
+A module is the quotient of a free cover R^g by a relation submodule K.
+Elements of the free cover R^g are single integers with base-|R| digits as
+coordinates.  Every carrier comes from one additive map phi on the free cover
+whose kernel is K: the classes of phi are labeled 0..m-1 in order of their
+least cover index, so representatives are deterministic.  The action table
+is the doubling fill of the action of R's additive generators, the one that
+also builds ring tables, and :func:`verify_module_axioms` is exact at every
+size: additivity reduces the module laws to checks on generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ClosureError, SizeCapError
-from .rings import FiniteRing
+from .rings import FiniteRing, _add_rows, _fill
 from .subgroup import generators, grow, span
 
 _MODULE_ADD_TABLE_LIMIT = 2048
-# Entries per vectorized block: rows of the action table, hom candidates.
+# Entries per vectorized block: rows of the addition table, hom candidates.
 _BLOCK = 1 << 16
 
 
@@ -56,7 +60,6 @@ class FiniteModule:
         )
         self._act_table: np.ndarray | None = None
         self._add_table: np.ndarray | None = None
-        self._neg: np.ndarray | None = None
         self._relation_gens: np.ndarray | None = None  # set by _relation_generators
         self._signature_cache = None  # set by decompose.krull_schmidt
 
@@ -77,9 +80,6 @@ class FiniteModule:
         du, dv = self._cover_digits(u), self._cover_digits(v)
         return self._cover_encode(self.ring.add_table[du, dv])
 
-    def cover_neg(self, u) -> np.ndarray:
-        return self._cover_encode(self.ring.neg_table[self._cover_digits(u)])
-
     def cover_act(self, r, u) -> np.ndarray:
         return self._cover_encode(self.ring.mul_table[r, self._cover_digits(u)])
 
@@ -89,31 +89,33 @@ class FiniteModule:
     def act_table(self) -> np.ndarray:
         """(|R|, size) table of the left action on carrier elements.
 
-        Built in blocks of ring elements, at most ``_BLOCK`` cover digits each,
-        so no (|R|, size, g) intermediate is ever allocated.
+        Row r is the sum of r_i (e_i x) over R's additive generators e_i, filled
+        by doubling (``rings._fill``); only the generator rows e_i x are read
+        off the free cover.
         """
         if self._act_table is None:
-            digits = self._cover_digits(self.rep)  # (size, g)
-            n, g = self.ring.size, self.num_generators
-            powers = n ** np.arange(g, dtype=np.int64)
-            mul = self.ring.mul_table
-            out = np.empty((n, self.size), dtype=np.int32)
-            step = max(1, _BLOCK // (self.size * max(1, g)))
-            for start in range(0, n, step):
-                stop = min(start + step, n)
-                acted = np.zeros((stop - start, self.size), dtype=np.int64)
-                for i in range(g):
-                    acted += mul[start:stop, digits[:, i]] * powers[i]
-                out[start:stop] = self.cls[acted]
-            self._act_table = out
+            ring = self.ring
+            gen_rows = self.cls[self.cover_act(ring._gens[:, None, None], self.rep)]
+            self._act_table = _fill(ring, np.zeros(self.size, dtype=np.int32), gen_rows, self._add_op())
         return self._act_table
 
     @property
     def add_table(self) -> np.ndarray | None:
+        """(size, size) addition table up to ``_MODULE_ADD_TABLE_LIMIT``
+        elements, built in row blocks of at most ``_BLOCK`` entries."""
         if self._add_table is None and self.size <= _MODULE_ADD_TABLE_LIMIT:
-            sums = self.cover_add(self.rep[:, None], self.rep[None, :])
-            self._add_table = self.cls[sums].astype(np.int32)
+            table = np.empty((self.size, self.size), dtype=np.int32)
+            step = max(1, _BLOCK // self.size)
+            for start in range(0, self.size, step):
+                rows = self.rep[start : start + step, None]
+                table[start : start + step] = self.cls[self.cover_add(rows, self.rep)]
+            self._add_table = table
         return self._add_table
+
+    def _add_op(self):
+        """Addition for ``rings._fill``: a bare gather when the table exists."""
+        table = self.add_table
+        return self.add if table is None else _add_rows(table)
 
     def add(self, x, y):
         table = self.add_table
@@ -124,9 +126,8 @@ class FiniteModule:
         return int(out) if np.ndim(out) == 0 else out
 
     def neg(self, x):
-        if self._neg is None:
-            self._neg = self.cls[self.cover_neg(self.rep)]
-        out = self._neg[x]
+        """-x, as the action of -1."""
+        out = self.act_table[self.ring.neg(self.ring.one), x]
         return int(out) if np.ndim(out) == 0 else out
 
     def sub(self, x, y):
@@ -147,10 +148,6 @@ class FiniteModule:
         """Generator coordinates of the least representative of x."""
         return self._cover_digits(self.rep[x])
 
-    def eval_coords(self, digits) -> np.ndarray:
-        """Image in the module of free-cover coordinate vectors."""
-        return self.cls[self._cover_encode(digits)]
-
     def __len__(self) -> int:
         return self.size
 
@@ -158,44 +155,22 @@ class FiniteModule:
         return f"FiniteModule({self.label!r}, size={self.size}, over={self.ring.label!r})"
 
 
-def module_from_relations(
-    ring: FiniteRing,
-    num_generators: int,
-    relations: Iterable[int],
-    label: str,
-    cfg: EngineConfig | None = None,
+def _module_from_cover_map(
+    ring: FiniteRing, num_generators: int, phi: np.ndarray, label: str, cfg: EngineConfig
 ) -> FiniteModule:
-    """Carrier for R^g / K with cosets labeled by ascending least representative."""
-    cfg = cfg or DEFAULTS
-    cover = ring.size**num_generators
-    if cover > max(cfg.max_module, cfg.max_homs):
-        raise SizeCapError(f"{label}: free cover {cover} above cap")
-    k = np.unique(np.asarray(list(relations), dtype=np.int64))
-    if len(k) == 0 or k[0] != 0:
-        raise ClosureError(f"{label}: relation set must contain 0")
-    if len(k) == cover:
-        cls = np.zeros(cover, dtype=np.int64)
-        rep = np.zeros(1, dtype=np.int64)
-        return FiniteModule(ring, num_generators, k, cls, rep, label)
-    cls = np.full(cover, -1, dtype=np.int64)
-    reps: list[int] = []
-    powers = ring.size ** np.arange(num_generators, dtype=np.int64)
-    kd = (k[:, None] // powers) % ring.size  # relation digits, fixed
-    next_id = 0
-    for w in range(cover):
-        if cls[w] >= 0:
-            continue
-        wd = (w // powers) % ring.size
-        coset = ((ring.add_table[wd, kd]) * powers).sum(axis=1)
-        if (cls[coset] >= 0).any():
-            raise ClosureError(f"{label}: relation set is not an additive subgroup")
-        cls[coset] = next_id
-        reps.append(w)
-        next_id += 1
-    module = FiniteModule(ring, num_generators, k, cls, np.array(reps), label)
-    if module.size > cfg.max_module:
-        raise SizeCapError(f"{label}: module size {module.size} above cap {cfg.max_module}")
-    return module
+    """The module R^g / ker(phi) for an additive map phi on the free cover.
+
+    The classes of phi are the cosets of its kernel; ranking them by least
+    cover index labels cosets by ascending least representative.
+    """
+    _, first, inverse = np.unique(phi, return_index=True, return_inverse=True)
+    if len(first) > cfg.max_module:
+        raise SizeCapError(f"{label}: module size {len(first)} above cap {cfg.max_module}")
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cls = rank[inverse]
+    return FiniteModule(ring, num_generators, np.flatnonzero(cls == 0), cls, first[order], label)
 
 
 def free_module(ring: FiniteRing, rank: int, cfg: EngineConfig | None = None) -> FiniteModule:
@@ -208,77 +183,47 @@ def free_module(ring: FiniteRing, rank: int, cfg: EngineConfig | None = None) ->
         raise SizeCapError(
             f"free module {ring.label}^{rank}: size {size} above cap {cfg.max_module}"
         )
-    label = f"{ring.label}^{rank}"
-    if rank == 0:
-        return module_from_relations(ring, 0, [0], label, cfg)
     idx = np.arange(size, dtype=np.int64)
-    return FiniteModule(ring, rank, np.array([0]), idx, idx.copy(), label)
+    return FiniteModule(ring, rank, np.array([0]), idx, idx.copy(), f"{ring.label}^{rank}")
 
 
 def regular_module(ring: FiniteRing, cfg: EngineConfig | None = None) -> FiniteModule:
     return free_module(ring, 1, cfg)
 
 
-def verify_module_axioms(module: FiniteModule, cfg: EngineConfig | None = None) -> bool:
-    """Check the module laws, exhaustively for small carriers, sampled above."""
-    cfg = cfg or DEFAULTS
+def verify_module_axioms(module: FiniteModule) -> bool:
+    """Check the module laws exactly, at every size.
+
+    With e_i the additive generators of R, of orders n_i, and F the images of
+    the free cover's generators, which generate M additively:
+
+    - the table is the doubling fill of its own rows e_i x, and
+      (-e_i) x = -(e_i x), i.e. n_i (e_i x) = 0: together (r + s) x = r x + s x;
+    - e_i (x + f) = e_i x + e_i f for every x and every f in F: since every
+      row is a sum of generator rows, r (x + y) = r x + r y;
+    - (e_i e_j) f = e_i (e_j f) and 1 f = f for f in F, which suffices since
+      both sides of each law are then additive in every argument.
+    """
     ring = module.ring
-    n, m = ring.size, module.size
-    if n * n * m <= 2_000_000:
-        r = np.arange(n)[:, None, None]
-        s = np.arange(n)[None, :, None]
-        x = np.arange(m)[None, None, :]
-        r_b = np.broadcast_to(r, (n, n, m))
-        s_b = np.broadcast_to(s, (n, n, m))
-        x_b = np.broadcast_to(x, (n, n, m))
-        if not np.array_equal(
-            module.act_table[ring.add_table[r_b, s_b], x_b],
-            module.add(module.act_table[r_b, x_b], module.act_table[s_b, x_b]),
-        ):
-            return False
-        if not np.array_equal(
-            module.act_table[ring.mul_table[r_b, s_b], x_b],
-            module.act_table[r_b, module.act_table[s_b, x_b]],
-        ):
-            return False
-    else:
-        rng = np.random.default_rng(0)
-        r = rng.integers(0, n, 100_000)
-        s = rng.integers(0, n, 100_000)
-        x = rng.integers(0, m, 100_000)
-        if not np.array_equal(
-            module.act_table[ring.add(r, s), x],
-            module.add(module.act_table[r, x], module.act_table[s, x]),
-        ):
-            return False
-        if not np.array_equal(
-            module.act_table[ring.mul(r, s), x],
-            module.act_table[r, module.act_table[s, x]],
-        ):
-            return False
-    if n * m * m <= 2_000_000:
-        r = np.arange(n)[:, None, None]
-        x = np.arange(m)[None, :, None]
-        y = np.arange(m)[None, None, :]
-        r_b = np.broadcast_to(r, (n, m, m))
-        x_b = np.broadcast_to(x, (n, m, m))
-        y_b = np.broadcast_to(y, (n, m, m))
-        if not np.array_equal(
-            module.act_table[r_b, module.add(x_b, y_b)],
-            module.add(module.act_table[r_b, x_b], module.act_table[r_b, y_b]),
-        ):
-            return False
-    else:
-        rng = np.random.default_rng(1)
-        r = rng.integers(0, n, 100_000)
-        x = rng.integers(0, m, 100_000)
-        y = rng.integers(0, m, 100_000)
-        if not np.array_equal(
-            module.act_table[r, module.add(x, y)],
-            module.add(module.act_table[r, x], module.act_table[r, y]),
-        ):
-            return False
-    return bool(np.array_equal(module.act_table[ring.one], np.arange(m)))
+    table = module.act_table
+    m = module.size
+    if table.min() < 0 or table.max() >= m:
+        return False
+    gens = ring._gens
+    rows = table[gens]  # e_i x
+    if not np.array_equal(table, _fill(ring, np.zeros(m, dtype=np.int32), rows, module._add_op())):
+        return False
+    if (module.add(table[ring.neg(gens)], rows) != 0).any():
+        return False
+    cover_gens = gens[:, None] * ring.size ** np.arange(module.num_generators, dtype=np.int64)
+    f = module.cls[cover_gens.ravel()]
+    sums = module.add(np.arange(m)[:, None], f[None, :])
+    if not np.array_equal(rows[:, sums], module.add(rows[:, :, None], rows[:, None, f])):
+        return False
+    products = table[ring.gen_products[:, :, None], f]
+    if not np.array_equal(products, table[gens[:, None, None], table[gens][None, :, f]]):
+        return False
+    return bool(np.array_equal(table[ring.one, f], f))
 
 
 # -- submodules ------------------------------------------------------------------
@@ -301,7 +246,7 @@ def is_submodule(module: FiniteModule, elements: np.ndarray) -> bool:
         return False
     mask = np.zeros(module.size, dtype=bool)
     mask[elements] = True
-    if not mask[module.add(elements[:, None], elements[None, :])].all():
+    if not np.array_equal(span(module.add, module.size, elements), mask):
         return False
     return bool(mask[module.act_table[:, elements]].all())
 
@@ -359,12 +304,13 @@ def submodule_as_module(
     elements = np.asarray(elements, dtype=np.int64)
     if generators is None:
         gens: list[int] = []
-        span = np.array([0], dtype=np.int64)
+        reached = np.zeros(module.size, dtype=bool)
+        reached[0] = True
         for x in elements:
-            if int(x) not in set(int(v) for v in span):
+            if not reached[x]:
                 gens.append(int(x))
-                span = submodule_generated(module, gens)
-        if len(span) != len(elements):
+                reached[submodule_generated(module, gens)] = True
+        if np.count_nonzero(reached) != len(elements):
             raise ClosureError(f"{module.label}: elements do not form a submodule")
     else:
         gens = [x for x in dict.fromkeys(int(v) for v in generators) if x != 0]
@@ -373,8 +319,6 @@ def submodule_as_module(
     g = len(gens)
     ring = module.ring
     label = label or f"sub[{len(elements)}]({module.label})"
-    if g == 0:
-        return module_from_relations(ring, 0, [0], label, cfg)
     cover = ring.size**g
     if cover > max(cfg.max_module, cfg.max_homs):
         raise SizeCapError(f"{label}: relation scan space {cover} above cap")
@@ -384,8 +328,7 @@ def submodule_as_module(
     values = np.zeros(cover, dtype=np.int64)
     for i, gen in enumerate(gens):
         values = module.add(values, module.act_table[digits[:, i], gen])
-    relations = w[values == 0]
-    sub = module_from_relations(ring, g, relations, label, cfg)
+    sub = _module_from_cover_map(ring, g, values, label, cfg)
     if sub.size != len(elements):
         raise ClosureError(f"{label}: presentation size {sub.size} != submodule {len(elements)}")
     return sub
@@ -404,11 +347,19 @@ def quotient_module(
         raise ClosureError(f"{module.label}: quotient by a non-submodule")
     if len(sub) == 1:
         return module
-    in_sub = np.zeros(module.size, dtype=bool)
-    in_sub[sub] = True
-    relations = np.nonzero(in_sub[module.cls])[0]
     label = label or f"({module.label})/[{len(sub)}]"
-    return module_from_relations(module.ring, module.num_generators, relations, label, cfg)
+    if module.cover_size > max(cfg.max_module, cfg.max_homs):
+        raise SizeCapError(f"{label}: free cover {module.cover_size} above cap")
+    # best[x] becomes the least label in x + N: doubling along each additive
+    # generator h of N, whose order divides R's additive exponent.
+    carrier = np.arange(module.size)
+    best = carrier
+    rounds = (lcm(*module.ring.orders) - 1).bit_length()
+    for h in generators(module.add, module.size, sub):
+        for _ in range(rounds):
+            best = np.minimum(best, best[module.add(carrier, h)])
+            h = module.add(h, h)
+    return _module_from_cover_map(module.ring, module.num_generators, best[module.cls], label, cfg)
 
 
 def direct_sum(

@@ -16,7 +16,9 @@ from .modules import FiniteModule, regular_module
 from .rings import FiniteRing
 from .verdict import Verdict
 
-_WITNESS_BLOCK = 1 << 16  # witness tuples evaluated per block
+# Witness tuples evaluated per block: the int64 temporaries of a block (128 KB
+# each) are reused from the heap instead of being mapped and faulted afresh.
+_WITNESS_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,6 @@ class FiniteRing:
 
     # -- additive structure --------------------------------------------------
 
-    @property
-    def has_tables(self) -> bool:
-        return self.mul_table is not None
-
     def require_tables(self, op: str) -> None:
         if self.mul_table is None:
             raise SizeCapError(
@@ -195,7 +191,7 @@ _FILL_BLOCK = 1 << 18  # table entries per gather
 
 
 def _fill(ring: FiniteRing, row0: np.ndarray, gen_rows: np.ndarray, op) -> np.ndarray:
-    """The N x N table whose row a is row0 'plus' a_i times gen_rows[i], over all i.
+    """The (N, len(row0)) table whose row a is row0 'plus' a_i times gen_rows[i].
 
     ``op(rows, step)`` adds the row ``step`` to each of ``rows``.  Rows are
     filled in index order: once the rows with every digit from i on zero are
@@ -203,10 +199,10 @@ def _fill(ring: FiniteRing, row0: np.ndarray, gen_rows: np.ndarray, op) -> np.nd
     i in [0, m), m * gen_rows[i]), so generator i takes log2(n_i) doubling
     steps.  Each step runs in row blocks of at most ``_FILL_BLOCK`` entries.
     """
-    n = ring.size
-    out = np.empty((n, n), dtype=np.int32)
+    width = len(row0)
+    out = np.empty((ring.size, width), dtype=np.int32)
     out[0] = row0
-    chunk = max(1, _FILL_BLOCK // n)
+    chunk = max(1, _FILL_BLOCK // width)
     for step, order, w in zip(gen_rows, ring.orders, ring._weights.tolist()):
         m = 1
         while m < order:

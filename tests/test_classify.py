@@ -17,6 +17,7 @@ from modclass import (
     verify_implication_chain,
 )
 from modclass.classify import verdict_holds
+from test_golden_outputs import META_KEY, golden, meta_suite_output
 
 
 class TestClassifyRing:
@@ -214,3 +215,4 @@ class TestSuite:
             "invariant-multiplicativity",
             "decomposition-determinism",
         ]
+        assert meta_suite_output(result) == golden()[META_KEY]

@@ -21,6 +21,7 @@ from modclass import (
     verify_module_axioms,
     zero_module,
     EngineConfig,
+    FiniteModule,
 )
 
 
@@ -59,6 +60,34 @@ class TestConstruction:
         with pytest.raises(ClosureError):
             quotient_module(reg, [0, 1])  # 1 generates everything
 
+    def test_corrupted_action_is_rejected_at_every_size(self):
+        module = regular_module(build_ring("Z/2048"))
+        module.act_table[5, 7] += 1
+        assert not verify_module_axioms(module)
+
+    def test_seeded_single_entry_corruptions_are_rejected(self, corpus):
+        reg = regular_module(corpus["Z/6"])
+        modules = [regular_module(ring) for ring in corpus.values()]
+        modules += [free_module(ring, 2) for ring in corpus.values() if ring.size <= 16]
+        modules += [quotient_module(reg, cyclic_submodule(reg, 3)), regular_module(build_ring("Z/2048"))]
+        rng = np.random.default_rng(0)
+        for module in modules:
+            table = module.act_table
+            for _ in range(20):
+                r, x = int(rng.integers(module.ring.size)), int(rng.integers(module.size))
+                old = int(table[r, x])
+                table[r, x] = (old + int(rng.integers(1, module.size))) % module.size
+                assert not verify_module_axioms(module), (module.label, r, x)
+                table[r, x] = old
+            assert verify_module_axioms(module), module.label
+
+    def test_carrier_of_a_non_submodule_is_rejected(self, m2f2):
+        # K = {0, 1} is an additive subgroup of M(2,GF(2)) but not a left ideal.
+        w = np.arange(m2f2.size)
+        rep, cls = np.unique(np.minimum(w, m2f2.add(w, 1)), return_inverse=True)
+        module = FiniteModule(m2f2, 1, np.array([0, 1]), cls, rep, "M(2,GF(2))/{0,1}")
+        assert not verify_module_axioms(module)
+
     def test_sizes_multiply_through_quotients(self, corpus):
         for ring in corpus.values():
             if ring.size > 16:
@@ -89,11 +118,17 @@ class TestActTable:
             regular_module(build_ring("Z/1000")),
             # Two generators, 16 rows a block: 2 full blocks, then 13 rows.
             free_module(build_ring("Z/45"), 2),
+            # 4096 elements: filled without an addition table.
+            free_module(build_ring("Z/64"), 2),
         ]
         for module in modules:
             table = module.act_table
             assert table.dtype == np.int32, module.label
             assert np.array_equal(table, per_row_act_table(module)), module.label
+            if module.size <= 2048:
+                rep = module.rep
+                sums = module.cls[module.cover_add(rep[:, None], rep[None, :])]
+                assert np.array_equal(module.add_table, sums), module.label
 
 
 class TestDirectSum:

@@ -40,7 +40,7 @@ class TestEvaluate:
         assert all(s % 4 == s // 4 for s in sols)
 
     def test_blocked_evaluation_matches_one_shot(self):
-        # x1 = 2z, x2 = 6z over Z/64: 64^3 witness tuples span four blocks.
+        # x1 = 2z, x2 = 6z over Z/64: 64^3 witness tuples span 16 blocks.
         ring = build_ring("Z/64")
         module = regular_module(ring)
         phi = scalar_formula(ring, 2, 1, [[1, 0, -2], [0, 1, -6]])
