@@ -8,6 +8,11 @@ is artinian and either local or finite with simple semisimple quotient
 (Sabbagh-Eklof), and the theory of infinitely generated free modules is
 categorical in higher powers iff on top of perfect+coherent there is a unique
 indecomposable projective.
+
+The ring verdicts are read off the radical J and the primitive decomposition,
+R/J = M_r1(D1) x ... x M_rk(Dk): R/J is simple iff k = 1, and R is local iff
+r = (1,).  ``is_local`` and ``is_simple_ring`` run only to find the witness
+of a negative verdict, and must agree with (k, r).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .decompose import is_isomorphic, primitive_decomposition
-from .errors import ModclassError
+from .errors import ConsistencyError, ModclassError
 from .ideals import (
     chain_conditions,
     is_local,
@@ -92,19 +97,23 @@ def classify_ring(ring: FiniteRing, cfg: EngineConfig | None = None) -> Classifi
     """Run the full structural pipeline on a finite ring."""
     cfg = cfg or DEFAULTS
     radical = jacobson_radical(ring, cfg)
-    local = is_local(ring, cfg)
-    quotient = quotient_ring(ring, radical, label=f"({ring.label})/J", cfg=cfg)
-    simple = (
-        is_simple_ring(quotient, cfg)
-        if quotient.size >= 2
-        else Verdict(False, note="zero quotient")
-    )
-    chains = chain_conditions(ring, cfg)
     decomposition = primitive_decomposition(ring, cfg)
-
     k = decomposition.k
     multiplicities = decomposition.multiplicities
     sizes = decomposition.sizes
+    if multiplicities == (1,):  # R/J is a division ring, and J is the set of non-units
+        local = Verdict(True, witness=radical, note="non-units form the unique maximal left ideal")
+    else:
+        local = is_local(ring, cfg)
+    if k == 1:
+        simple = Verdict(True, note="every nonzero element generates the whole ring")
+    elif k == 0:
+        simple = Verdict(False, note="zero quotient")
+    else:
+        simple = is_simple_ring(quotient_ring(ring, radical, label=f"({ring.label})/J", cfg=cfg), cfg)
+    if bool(local) != (multiplicities == (1,)) or bool(simple) != (k == 1):
+        raise ConsistencyError(f"{ring.label}: local/simple predicates contradict r = {multiplicities}")
+    chains = chain_conditions(ring, cfg)
 
     flats_elementary = chains.right_coherent
     projectives_elementary = chains.left_perfect and chains.right_coherent

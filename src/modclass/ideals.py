@@ -140,48 +140,55 @@ def maximal_ideals(ring: FiniteRing, side: Side, cfg: EngineConfig | None = None
 
 
 def jacobson_radical(ring: FiniteRing, cfg: EngineConfig | None = None) -> Ideal:
-    """J = {x : 1 - r*x is a unit for every r}, verified two-sided and nilpotent."""
+    """J = {x : R*x is nil}, the largest nil left ideal of a finite ring,
+    verified two-sided and nilpotent.  x is nilpotent iff x^(2^s) = 0 once
+    2^s >= |R|, which s squarings of the table's diagonal decide.
+    """
     ring.require_tables("jacobson_radical")
     mul = ring.mul_table
-    um = unit_mask(ring)
-    one_minus = ring.add(ring.one, ring.neg_table[mul])  # (r, x) -> 1 - r*x
-    in_radical = um[one_minus].all(axis=0)
+    powers = np.arange(ring.size)
+    for _ in range((ring.size - 1).bit_length()):
+        powers = mul[powers, powers]
+    in_radical = (powers == 0)[mul].all(axis=0)
     elements = np.nonzero(in_radical)[0]
 
-    elem_set = frozenset(int(v) for v in elements)
-    # Quasi-regularity must already be a two-sided ideal; anything else means
-    # the ring tables are corrupt.
+    # The elements x with R*x nil must already form a two-sided ideal;
+    # anything else means the ring tables are corrupt.
     sums = ring.add(elements[:, None], elements[None, :])
     left = mul[:, elements]
     right = mul[elements, :]
     for arr, what in ((sums, "addition"), (left, "left multiples"), (right, "right multiples")):
         if not in_radical[arr].all():
             raise ConsistencyError(
-                f"jacobson_radical({ring.label}): quasi-regular set not closed under {what}"
+                f"jacobson_radical({ring.label}): nil left-ideal set not closed under {what}"
             )
 
-    _check_nilpotent(ring, elements)
     gens = generators(ring.add, ring.size, elements)
+    _check_nilpotent(ring, gens)
     return Ideal(ring=ring, side="two-sided", elements=tuple(int(v) for v in elements), generators=gens)
 
 
-def _check_nilpotent(ring: FiniteRing, elements: np.ndarray) -> int:
-    """Verify the span of ``elements`` is nilpotent; returns the degree."""
-    mul = ring.mul_table
-    current = elements
+def _check_nilpotent(ring: FiniteRing, gens: Sequence[int]) -> int:
+    """Verify the additive span J of ``gens`` is nilpotent; returns the degree.
+
+    Multiplication is biadditive, so J^(m+1) is spanned by the products of
+    J's additive generators with J^m's: each step multiplies generator sets.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    current = gens
     degree = 1
-    while not (len(current) == 1 and current[0] == 0):
+    while len(current):
         if degree > ring.size:
             raise ConsistencyError(f"radical of {ring.label} is not nilpotent")
-        products = np.unique(mul[np.ix_(elements, current)])
-        current = additive_closure(ring, products)
+        products = ring.mul_table[np.ix_(gens, current)].ravel()
+        current = np.asarray(generators(ring.add, ring.size, products), dtype=np.int64)
         degree += 1
     return degree
 
 
 def radical_nilpotency_degree(ring: FiniteRing, radical: Ideal) -> int:
     """Least m with J^m = 0 (m = 1 for the zero radical)."""
-    return _check_nilpotent(ring, np.array(radical.elements, dtype=np.int64))
+    return _check_nilpotent(ring, generators(ring.add, ring.size, radical.elements))
 
 
 # -- quotient rings ------------------------------------------------------------

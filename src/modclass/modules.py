@@ -91,12 +91,16 @@ class FiniteModule:
 
         Row r is the sum of r_i (e_i x) over R's additive generators e_i, filled
         by doubling (``rings._fill``); only the generator rows e_i x are read
-        off the free cover.
+        off the free cover.  The regular module (one generator, no relations,
+        so ``cls`` is the identity) copies the ring's multiplication table.
         """
         if self._act_table is None:
             ring = self.ring
-            gen_rows = self.cls[self.cover_act(ring._gens[:, None, None], self.rep)]
-            self._act_table = _fill(ring, np.zeros(self.size, dtype=np.int32), gen_rows, self._add_op())
+            if self.num_generators == 1 and len(self.relations) == 1:
+                self._act_table = ring.mul_table.copy()
+            else:
+                gen_rows = self.cls[self.cover_act(ring._gens[:, None, None], self.rep)]
+                self._act_table = _fill(ring, np.zeros(self.size, dtype=np.int32), gen_rows, self._add_op())
         return self._act_table
 
     @property

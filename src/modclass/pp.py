@@ -14,6 +14,7 @@ from .errors import ConsistencyError, SizeCapError
 from .ideals import ideal_generated
 from .modules import FiniteModule, regular_module
 from .rings import FiniteRing
+from .subgroup import span
 from .verdict import Verdict
 
 # Witness tuples evaluated per block: the int64 temporaries of a block (128 KB
@@ -101,15 +102,17 @@ def _solution_mask(module: FiniteModule, phi: PPFormula, cfg: EngineConfig) -> n
 
 
 def _check_subgroup(module: FiniteModule, mask: np.ndarray, p: int, label: str) -> None:
-    sols = np.nonzero(mask)[0]
-    if len(sols) == 0 or not mask[0]:
+    """The solutions must form a subgroup of M^p: contain 0 and equal their span."""
+    if not mask[0]:
         raise ConsistencyError(f"{label}: solution set does not contain zero")
     m = module.size
-    sums = np.zeros((len(sols), len(sols)), dtype=np.int64)
-    for j in range(p):
-        dj = (sols // m**j) % m
-        sums += module.add(dj[:, None], dj[None, :]).astype(np.int64) * m**j
-    if not mask[sums].all():
+    powers = m ** np.arange(p, dtype=np.int64)
+
+    def add(u, v):  # coordinatewise addition of M^p tuple indices
+        du, dv = (np.asarray(w, dtype=np.int64)[..., None] // powers % m for w in (u, v))
+        return (np.asarray(module.add(du, dv), dtype=np.int64) * powers).sum(axis=-1)
+
+    if not np.array_equal(span(add, len(mask), np.flatnonzero(mask)), mask):
         raise ConsistencyError(f"{label}: solution set not closed under addition")
 
 

@@ -8,14 +8,22 @@ import pytest
 
 from modclass import (
     ClassificationReport,
+    ConsistencyError,
+    Verdict,
     build_ring,
     classify_matrix_family,
     classify_ring,
+    is_local,
+    is_simple_ring,
+    jacobson_radical,
     lemma31_check,
+    quotient_ring,
     random_recipe_rings,
     run_meta_suite,
+    units,
     verify_implication_chain,
 )
+from modclass import classify as classify_module
 from modclass.classify import verdict_holds
 from test_golden_outputs import META_KEY, golden, meta_suite_output
 
@@ -70,6 +78,49 @@ class TestClassifyRing:
             assert is_isomorphic(
                 decomposition.representatives[0], regular_module(ring)
             ).value, spec
+
+
+def _quasi_regular(ring):
+    """The old route to J: {x : 1 - r*x is a unit for every r}."""
+    unit = np.zeros(ring.size, dtype=bool)
+    unit[list(units(ring))] = True
+    one_minus = ring.sub(ring.one, ring.mul_table)  # (r, x) -> 1 - r*x
+    return tuple(int(v) for v in np.flatnonzero(unit[one_minus].all(axis=0)))
+
+
+class TestVerdictOracles:
+    """The (k, r) verdicts against the element-wise predicates, kept as oracles."""
+
+    def test_predicates_agree_with_reports(self, corpus):
+        rings = list(corpus.values()) + random_recipe_rings(100, seed=5)
+        for ring in rings:
+            report = classify_ring(ring)
+            radical = jacobson_radical(ring)
+            assert radical.elements == _quasi_regular(ring), ring.label
+            assert bool(is_local(ring)) == report.is_local, ring.label
+            quotient = quotient_ring(ring, radical)
+            simple = quotient.size >= 2 and bool(is_simple_ring(quotient))
+            assert simple == report.r_mod_j_simple, ring.label
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("called although (k, r) decides the verdict")
+
+    @pytest.mark.parametrize("spec", ["GF(4)", "Z/4", "M(2,GF(2))"])
+    def test_simple_verdict_needs_no_quotient(self, corpus, monkeypatch, spec):
+        monkeypatch.setattr(classify_module, "is_simple_ring", self._refuse)
+        monkeypatch.setattr(classify_module, "quotient_ring", self._refuse)
+        assert classify_ring(corpus[spec]).r_mod_j_simple
+
+    @pytest.mark.parametrize("spec", ["GF(4)", "Z/4"])
+    def test_local_verdict_needs_no_unit_scan(self, corpus, monkeypatch, spec):
+        monkeypatch.setattr(classify_module, "is_local", self._refuse)
+        assert classify_ring(corpus[spec]).is_local
+
+    def test_predicate_contradicting_the_decomposition_raises(self, corpus, monkeypatch):
+        monkeypatch.setattr(classify_module, "is_local", lambda ring, cfg=None: Verdict(True))
+        with pytest.raises(ConsistencyError, match="contradict"):
+            classify_ring(corpus["Z/6"])
 
 
 def _polyquot_cases():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from modclass import (
+    ConsistencyError,
+    FiniteRing,
     SideError,
     chain_conditions,
     galois_field,
@@ -105,6 +107,15 @@ class TestRadical:
             radical = jacobson_radical(ring)
             quotient = quotient_ring(ring, radical)
             assert jacobson_radical(quotient).elements == (0,), spec
+
+
+    def test_corrupt_table_rejected(self):
+        # a = 1 and b = 2 are nilpotent with R*a and R*b nil, but a + b = 1:
+        # the table is not distributive, and the nil set is not a subgroup.
+        table = [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2], [0, 1, 2, 3]]
+        corrupt = FiniteRing((2, 2), one=3, label="corrupt", mul_table=table)
+        with pytest.raises(ConsistencyError, match="not closed under addition"):
+            jacobson_radical(corrupt)
 
 
 class TestQuotientRing:

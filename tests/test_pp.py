@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modclass import (
+    ConsistencyError,
     PPFormula,
     baur_monk_invariant,
     build_ring,
@@ -16,6 +17,7 @@ from modclass import (
     regular_module,
     scalar_formula,
 )
+from modclass.pp import _check_subgroup
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,19 @@ class TestEvaluate:
             for phi in library_formulas(ring).values():
                 sols = pp_evaluate(reg, phi)  # raises on closure failure
                 assert sols[0] == 0
+
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_non_subgroup_rejected(self, reg_z4, p):
+        mask = np.zeros(4**p, dtype=bool)
+        mask[[0, 1]] = True  # {0, x} with x = (1, 0, ...) of order 4
+        with pytest.raises(ConsistencyError, match="not closed under addition"):
+            _check_subgroup(reg_z4, mask, p, "test")
+        mask[[2, 3]] = True  # Z/4 x 0 is a subgroup
+        _check_subgroup(reg_z4, mask, p, "test")
+        mask[0] = False
+        with pytest.raises(ConsistencyError, match="does not contain zero"):
+            _check_subgroup(reg_z4, mask, p, "test")
 
 
 class TestRightIdeal:
