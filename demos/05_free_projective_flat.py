@@ -29,7 +29,8 @@ print("  free:      ", is_free_module(p).value, "-", is_free_module(p).note)
 print("  projective:", is_projective_module(p).value)
 print("  flat:      ", is_flat_module(p, relation_length_bound=2).value)
 
-# Projectivity runs two independent routes - decomposition signature and an
-# explicit splitting of the canonical surjection - and insists they agree.
+# Projectivity is decided by counting: |P| equals the size of its projective
+# cover.  A "yes" carries a splitting of the canonical surjection R^g -> P,
+# built from the count and checked exactly.
 verdict = is_projective_module(p)
 print("  splitting section found:", verdict.witness is not None, "-", verdict.note)

@@ -1,11 +1,12 @@
 """modclass: exact structure theory for finite rings and their modules.
 
 Build finite unital rings from a small spec language, compute radicals,
-idempotent and Krull-Schmidt decompositions, decide freeness / projectivity /
-flatness with independent cross-checks, evaluate pp-definable subgroups and
-their index invariants, and classify each ring by which module classes are
-elementary and whether the theory of its infinitely generated free modules is
-categorical in higher powers.
+idempotent and Krull-Schmidt decompositions, decide freeness and projectivity
+from projective-cover counts and flatness by a relation scan checked against
+projectivity, evaluate pp-definable subgroups and their index invariants, and
+classify each ring by which module classes are elementary and whether the
+theory of its infinitely generated free modules is categorical in higher
+powers.
 """
 
 from .config import DEFAULTS, EngineConfig, config_from_env
@@ -76,7 +77,6 @@ from .decompose import (
     is_isomorphic,
     krull_schmidt,
     primitive_decomposition,
-    regular_signature,
 )
 from .properties import (
     FlatnessReport,

@@ -13,10 +13,9 @@ from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SizeCapError
 from .modules import (
     FiniteModule,
-    cyclic_submodule,
+    _module_from_cover_map,
     find_bijective_hom,
     hom_candidate_blocks,
-    regular_module,
     submodule_as_module,
     submodule_generated,
 )
@@ -152,7 +151,6 @@ def primitive_decomposition(
             work.append(ring.sub(e, f))
 
     primitive.sort()
-    reg = regular_module(ring, cfg)
     groups: list[list[int]] = []
     for e in primitive:
         for group in groups:
@@ -162,14 +160,11 @@ def primitive_decomposition(
         else:
             groups.append([e])
 
-    reps = []
-    for i, group in enumerate(groups):
-        elements = cyclic_submodule(reg, group[0])
-        reps.append(
-            submodule_as_module(
-                reg, elements, label=f"P{i + 1}({ring.label})", generators=[group[0]], cfg=cfg
-            )
-        )
+    # P_i = R*e presented on one generator e: the cover map is r -> r*e.
+    reps = [
+        _module_from_cover_map(ring, 1, ring.mul_table[:, group[0]], f"P{i + 1}({ring.label})", cfg)
+        for i, group in enumerate(groups)
+    ]
     order_key = sorted(
         range(len(groups)), key=cmp_to_key(lambda i, j: _compare_representatives(reps[i], reps[j]))
     )
@@ -297,11 +292,6 @@ def krull_schmidt(
     """
     cfg = cfg or DEFAULTS
     registry = registry or get_registry(module.ring)
-    if rng is None:
-        cached = module._signature_cache
-        if cached is not None and cached.registry is registry:
-            return cached
-
     if module.size == 1:
         return DecompositionSignature(registry, ())
 
@@ -329,14 +319,7 @@ def krull_schmidt(
         sig1 = krull_schmidt(sub1, cfg, rng, registry)
         sig2 = krull_schmidt(sub2, cfg, rng, registry)
         result = sig1.combine(sig2)
-
-    if rng is None:
-        module._signature_cache = result
     return result
-
-
-def regular_signature(ring: FiniteRing, cfg: EngineConfig | None = None) -> DecompositionSignature:
-    return krull_schmidt(regular_module(ring, cfg), cfg)
 
 
 def is_isomorphic(

@@ -61,7 +61,6 @@ class FiniteModule:
         self._act_table: np.ndarray | None = None
         self._add_table: np.ndarray | None = None
         self._relation_gens: np.ndarray | None = None  # set by _relation_generators
-        self._signature_cache = None  # set by decompose.krull_schmidt
 
     # -- free-cover arithmetic (indices with base-|R| digits) -------------------
 

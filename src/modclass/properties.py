@@ -1,24 +1,33 @@
 """Freeness, projectivity, and flatness of finite modules.
 
-Projectivity runs two independent routes (decomposition signature vs explicit
-splitting of the canonical surjection) and insists they agree.  Flatness scans
-the relation submodule: a relation sum(r_i m_i) = 0 factors through a matrix
-annihilating r iff the relation lies in the subgroup sum(r_i K) of the free
-cover, which decides the factorization condition for every matrix width at
-once.  Relations among arbitrary element tuples reduce to relations among the
-generators, so the scan is complete whenever every relation's support fits the
-configured length bound.
+Freeness and projectivity are decided by counting.  A finite module M has the
+projective cover P(M) = (+) P_i^a_i, with P_i = R e_i over one primitive
+idempotent e_i per class and M/JM = (+) S_i^a_i, and P(M) -> M has a
+superfluous kernel (Bass 1960; Anderson & Fuller, GTM 13, section 27).  So M
+is projective iff |P(M)| = |M|, and free of rank c iff it is projective with
+a_i = c r_i, where R = (+) P_i^r_i.  Each a_i is read off set sizes, and a
+"yes" carries a section of the free cover R^g -> M checked exactly.
+Krull-Schmidt and the section search stay as independent oracles.
+
+Flatness scans the relation submodule: a relation sum(r_i m_i) = 0 factors
+through a matrix annihilating r iff the relation lies in the subgroup
+sum(r_i K) of the free cover, which decides the factorization condition for
+every matrix width at once.  Relations among arbitrary element tuples reduce
+to relations among the generators, so the scan is complete whenever every
+relation's support fits the configured length bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SizeCapError
-from .decompose import krull_schmidt, regular_signature
+from .decompose import IdempotentDecomposition, _corner, primitive_decomposition
+from .ideals import jacobson_radical
 from .modules import (
     FiniteModule,
     ModuleHom,
@@ -27,101 +36,164 @@ from .modules import (
     hom_from_images,
     hom_image_mask,
 )
-from .subgroup import span
+from .subgroup import grow, span
 from .verdict import Verdict
 
 
+@dataclass(frozen=True)
+class _CoverCount:
+    """The projective cover P(M) = (+) P_i^a_i of a module, by counting:
+    P_i and r_i (R = (+) P_i^r_i) come from ``decomposition``, the a_i are
+    ``multiplicities``, and ``radical_span`` marks JM in M's carrier."""
+
+    decomposition: IdempotentDecomposition
+    multiplicities: tuple[int, ...]
+    radical_span: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return prod(p**a for p, a in zip(self.decomposition.sizes, self.multiplicities))
+
+
+def _cover_count(module: FiniteModule, cfg: EngineConfig) -> _CoverCount:
+    """Count the a_i of M/JM = (+) S_i^a_i.
+
+    e_i(M/JM) = (e_iM + JM) / JM is a vector space of dimension a_i over the
+    division ring D_i = e_iRe_i / e_iJe_i, so |e_iM + JM| / |JM| = |D_i|^a_i.
+    JM is spanned by J's additive generators acting on M's generators, and
+    e_iM by e_i times R's additive generators acting on them.  Counts that
+    contradict the theory raise ConsistencyError rather than give a verdict.
+    """
+    ring = module.ring
+    decomposition = primitive_decomposition(ring, cfg)
+    if prod(p**r for p, r in zip(decomposition.sizes, decomposition.multiplicities)) != ring.size:
+        raise ConsistencyError(f"{ring.label}: primitive classes do not cover the regular module")
+    radical = jacobson_radical(ring, cfg)
+    in_radical = np.zeros(ring.size, dtype=bool)
+    in_radical[list(radical.elements)] = True
+    act, gens = module.act_table, np.array(module.gens)
+    radical_gens = np.array(radical.generators, dtype=np.int64)
+    radical_span = span(module.add, module.size, act[radical_gens[:, None], gens].ravel())
+    radical_size = np.count_nonzero(radical_span)
+    multiplicities = []
+    for e, *_ in decomposition.classes:
+        corner = _corner(ring, e)
+        division = len(corner) // np.count_nonzero(in_radical[corner])
+        mask = radical_span.copy()
+        for x in act[ring.mul_table[e, ring._gens][:, None], gens].ravel():
+            if not mask[x]:
+                grow(module.add, mask, x)
+        quotient = np.count_nonzero(mask) // radical_size
+        a = 0
+        while quotient % division == 0 and quotient > 1:
+            quotient //= division
+            a += 1
+        if quotient != 1:
+            raise ConsistencyError(
+                f"{module.label}: |e M + JM| / |JM| for e = {e} is not a power of |D| = {division}"
+            )
+        multiplicities.append(a)
+    count = _CoverCount(decomposition, tuple(multiplicities), radical_span)
+    if count.size % module.size:
+        raise ConsistencyError(
+            f"{module.label}: projective cover of size {count.size} cannot map onto {module.size} elements"
+        )
+    return count
+
+
+def _cover_section(module: FiniteModule, count: _CoverCount, cfg: EngineConfig) -> ModuleHom:
+    """A section of the canonical surjection R^g -> M of a projective M.
+
+    Picks m in e_iM greedily, least index first, until their images span each
+    e_i(M/JM); then phi: (+) R e_i -> M, r e_i -> r m is onto by Nakayama and
+    bijective by the count.  Its lift psi: r e_i -> r e_i rep[m] into the free
+    cover satisfies cls∘psi = phi, so s = psi∘phi^-1 is a section.
+    """
+    ring = module.ring
+    act, mul = module.act_table, ring.mul_table
+    # M's presentation already holds arrays over the whole free cover, so the
+    # cover as a module costs no more than M and is not capped a second time.
+    cover = free_module(
+        ring, module.num_generators, cfg.with_overrides(max_module=max(cfg.max_module, module.cover_size))
+    )
+    reached = count.radical_span.copy()
+    phi = np.zeros(1, dtype=np.int64)
+    psi = np.zeros((1, module.num_generators), dtype=np.int64)  # cover digits
+    for (e, *_), a in zip(count.decomposition.classes, count.multiplicities):
+        column = np.unique(mul[:, e])
+        candidates = np.unique(act[e])
+        for _ in range(a):
+            candidates = candidates[~reached[candidates]]
+            if len(candidates) == 0:
+                break
+            m = int(candidates[0])
+            for x in act[ring._gens, m]:
+                if not reached[x]:
+                    grow(module.add, reached, x)
+            phi = module.add(phi[:, None], act[column, m][None, :]).ravel()
+            lifted = mul[column[:, None], module.coords(m)]
+            psi = ring.add_table[psi[:, None], lifted[None, :]].reshape(len(phi), -1)
+    if len(phi) != module.size or len(np.unique(phi)) != module.size:
+        raise ConsistencyError(f"{module.label}: (+) P_i^a_i -> M is not a bijection")
+    table = np.empty(module.size, dtype=np.int64)
+    table[phi] = module._cover_encode(psi)
+    if not np.array_equal(module.cls[table], np.arange(module.size)):
+        raise ConsistencyError(f"{module.label}: the cover section does not split R^g -> M")
+    return ModuleHom(module, cover, table)
+
+
 def is_free_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Verdict:
-    """Free iff the signature is a uniform multiple of the regular module's."""
+    """Free of rank c iff projective with a_i = c r_i for every class i."""
     cfg = cfg or DEFAULTS
     if module.size == 1:
         return Verdict(True, witness=0, note="zero module is free of rank 0")
-    sig = krull_schmidt(module, cfg)
-    reg = regular_signature(module.ring, cfg)
-    reg_map = dict(reg.entries)
-    mod_map = dict(sig.entries)
-    if set(mod_map) != set(reg_map):
-        extra = set(mod_map) - set(reg_map)
-        missing = set(reg_map) - set(mod_map)
-        detail = []
-        if extra:
-            detail.append(
-                "classes outside the regular module: sizes "
-                + str(sorted(sig.registry.class_size(c) for c in extra))
-            )
-        if missing:
-            detail.append(
-                "missing regular classes: sizes "
-                + str(sorted(sig.registry.class_size(c) for c in missing))
-            )
-        return Verdict(False, witness=(sig.sizes(), reg.sizes()), note="; ".join(detail))
-    first = next(iter(reg_map))
-    c, remainder = divmod(mod_map[first], reg_map[first])
+    count = _cover_count(module, cfg)
+    if count.size != module.size:
+        return Verdict(False, witness=count.size // module.size, note=_kernel_note(count, module))
+    decomposition = count.decomposition
+    pairs = list(zip(decomposition.sizes, count.multiplicities, decomposition.multiplicities))
+    size, a, r = pairs[0]
+    c, remainder = divmod(a, r)
     if remainder:
         return Verdict(
             False,
-            witness=(sig.registry.class_size(first), mod_map[first], reg_map[first]),
-            note=(
-                f"multiplicity {mod_map[first]} of the size-"
-                f"{sig.registry.class_size(first)} class is not a multiple of {reg_map[first]}"
-            ),
+            witness=(size, a, r),
+            note=f"multiplicity {a} of the size-{size} class is not a multiple of {r}",
         )
-    for cls, mult in mod_map.items():
-        if mult != c * reg_map[cls]:
+    for size, a, r in pairs:
+        if a != c * r:
             return Verdict(
                 False,
-                witness=(sig.registry.class_size(cls), mult, c * reg_map[cls]),
-                note=(
-                    f"class of size {sig.registry.class_size(cls)} has multiplicity "
-                    f"{mult}, expected {c * reg_map[cls]}"
-                ),
+                witness=(size, a, c * r),
+                note=f"class of size {size} has multiplicity {a}, expected {c * r}",
             )
     return Verdict(True, witness=c, note=f"isomorphic to R^{c}")
 
 
 def is_projective_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Verdict:
-    """Projective iff every indecomposable summand is a summand of the regular module.
+    """Projective iff |M| equals the size of its projective cover.
 
-    Cross-validated, when within the hom cap, by searching for a section of
-    the canonical surjection from the free cover; the two routes must agree.
+    A "yes" carries an exactly checked section of the canonical surjection
+    from the free cover; a "no" carries the size of the cover's kernel.
     """
     cfg = cfg or DEFAULTS
     if module.size == 1:
         return Verdict(True, note="zero module is projective")
-    sig = krull_schmidt(module, cfg)
-    reg = regular_signature(module.ring, cfg)
-    reg_classes = {c for c, _ in reg.entries}
-    foreign = [c for c, _ in sig.entries if c not in reg_classes]
-    by_signature = not foreign
-
-    section: ModuleHom | None = None
-    oracle_ran = False
-    try:
-        cover = free_module(module.ring, module.num_generators, cfg)
-        section = split_surjection_search(ModuleHom(cover, module, module.cls), cfg)
-        oracle_ran = True
-    except SizeCapError:
-        pass
-
-    if oracle_ran:
-        by_section = section is not None
-        if by_section != by_signature:
-            raise ConsistencyError(
-                f"{module.label}: signature says projective={by_signature} "
-                f"but section search says {by_section}"
-            )
-    if by_signature:
-        return Verdict(
-            True,
-            witness=section if section is not None else sig,
-            note="all summands are summands of the regular module"
-            + ("; splitting verified" if oracle_ran else ""),
-        )
-    sizes = sorted(sig.registry.class_size(c) for c in foreign)
+    count = _cover_count(module, cfg)
+    if count.size != module.size:
+        return Verdict(False, witness=count.size // module.size, note=_kernel_note(count, module))
     return Verdict(
-        False,
-        witness=sig.sizes(),
-        note=f"summand classes of sizes {sizes} are not summands of the regular module",
+        True,
+        witness=_cover_section(module, count, cfg),
+        note=f"isomorphic to its projective cover, multiplicities {count.multiplicities}; "
+        "splitting verified",
+    )
+
+
+def _kernel_note(count: _CoverCount, module: FiniteModule) -> str:
+    return (
+        f"not projective: the projective cover, multiplicities {count.multiplicities}, has "
+        f"{count.size} elements, so its kernel onto M has {count.size // module.size}"
     )
 
 

@@ -1,12 +1,17 @@
 """Freeness, projectivity, flatness, and the cross-checks between them."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from modclass import (
+    ConsistencyError,
+    Ideal,
     ModuleHom,
+    all_submodules,
+    corpus_test_modules,
     cyclic_submodule,
     direct_sum,
     free_module,
@@ -16,14 +21,17 @@ from modclass import (
     is_free_module,
     is_projective_module,
     jacobson_radical,
+    krull_schmidt,
     primitive_decomposition,
     quotient_module,
+    random_recipe_rings,
     regular_module,
     ring_from_tables,
     split_surjection_search,
     submodule_as_module,
     zero_module,
 )
+from modclass import properties
 
 
 def flat_by_definition(module, n_max=2, l_max=2):
@@ -108,7 +116,8 @@ class TestProjectivity:
         reg = regular_module(z4)
         half = quotient_module(reg, [0, 2])
         verdict = is_projective_module(half)
-        assert not verdict.value
+        # The witness of a "no" is the kernel of the projective cover Z/4 -> Z/2.
+        assert not verdict.value and verdict.witness == 2
 
     def test_semisimple_ring_everything_projective(self, z6):
         reg = regular_module(z6)
@@ -127,6 +136,111 @@ class TestProjectivity:
         section = verdict.witness
         assert isinstance(section, ModuleHom)
         assert np.array_equal(p.cls[section.table], np.arange(p.size))
+
+    def test_square_of_product_ring_decided_at_default_caps(self, corpus):
+        # The End(M) search on this module has 2^20 candidates, above max_homs;
+        # the projective-cover count needs no hom search.
+        ring = corpus["GF(2) x M(2,GF(2))"]
+        square = direct_sum(regular_module(ring), regular_module(ring))
+        verdict = is_projective_module(square)
+        assert verdict.value
+        section = verdict.witness
+        assert isinstance(section, ModuleHom) and section.is_valid()
+        assert np.array_equal(square.cls[section.table], np.arange(square.size))
+        free = is_free_module(square)
+        assert free.value and free.witness == 2
+
+    def test_section_when_the_cover_is_above_max_module(self, corpus):
+        # Three generators give a 32^3-element free cover, above max_module;
+        # the verdict and its section still come out at default caps.
+        ring = corpus["GF(2) x M(2,GF(2))"]
+        square = direct_sum(regular_module(ring), regular_module(ring))
+        module = submodule_as_module(
+            square, np.arange(square.size), generators=[*square.gens, 5]
+        )
+        assert module.cover_size > 4096
+        verdict = is_projective_module(module)
+        assert verdict.value
+        assert np.array_equal(module.cls[verdict.witness.table], np.arange(module.size))
+        assert is_free_module(module).witness == 2
+
+
+def _signature_verdicts(module):
+    """(projective, free rank or None) from Krull-Schmidt signatures."""
+    found = dict(krull_schmidt(module).entries)
+    regular = dict(krull_schmidt(regular_module(module.ring)).entries)
+    if not set(found) <= set(regular):
+        return False, None
+    ranks = {divmod(found.get(c, 0), r) for c, r in regular.items()}
+    if len(ranks) == 1:
+        rank, remainder = ranks.pop()
+        if not remainder:
+            return True, rank
+    return True, None
+
+
+def _oracle_modules(corpus):
+    """Rank-1 corpus families, R^2 for corpus rings of at most 16 elements,
+    and the regular and test modules of 100 random rings."""
+    for ring in corpus.values():
+        reg = regular_module(ring)
+        for sub in all_submodules(reg):
+            yield quotient_module(reg, sub, label=f"{ring.label}/[{len(sub)}]")
+        if ring.size <= 16:
+            yield direct_sum(reg, reg)
+    for ring in random_recipe_rings(100, seed=5):
+        yield regular_module(ring)
+        yield from corpus_test_modules(ring)
+
+
+class TestCoverCountOracles:
+    def test_count_agrees_with_krull_schmidt_and_section_search(self, corpus):
+        mismatches = []
+        checked = 0
+        for module in _oracle_modules(corpus):
+            projective, rank = _signature_verdicts(module)
+            cover = free_module(module.ring, module.num_generators)
+            sectioned = split_surjection_search(ModuleHom(cover, module, module.cls)) is not None
+            by_count = is_projective_module(module)
+            free = is_free_module(module)
+            checked += 1
+            if not (by_count.value == projective == sectioned):
+                mismatches.append((module.label, "projective", by_count.value, projective, sectioned))
+            if free.value != (rank is not None) or (free.value and free.witness != rank):
+                mismatches.append((module.label, "free", free.witness, rank))
+        assert checked > 300
+        assert not mismatches
+
+    def test_dropped_class_raises(self, monkeypatch, corpus):
+        ring = corpus["GF(2) x M(2,GF(2))"]
+        real = primitive_decomposition(ring)
+
+        def tampered(ring, cfg=None):
+            return dataclasses.replace(
+                real,
+                classes=real.classes[:-1],
+                multiplicities=real.multiplicities[:-1],
+                representatives=real.representatives[:-1],
+            )
+
+        monkeypatch.setattr(properties, "primitive_decomposition", tampered)
+        reg = regular_module(ring)
+        small = quotient_module(reg, cyclic_submodule(reg, _least_proper(reg)))
+        for module in (reg, small, real.representatives[0]):
+            with pytest.raises(ConsistencyError):
+                is_projective_module(module)
+            with pytest.raises(ConsistencyError):
+                is_free_module(module)
+
+    def test_radical_too_small_raises(self, monkeypatch, z4):
+        # With J taken as 0, |D| = |eRe| = 4 while e(M/JM) of Z/2 has 2 elements.
+        def zero_radical(ring, cfg=None):
+            return Ideal(ring=ring, side="two-sided", elements=(0,), generators=())
+
+        monkeypatch.setattr(properties, "jacobson_radical", zero_radical)
+        half = quotient_module(regular_module(z4), [0, 2])
+        with pytest.raises(ConsistencyError):
+            is_projective_module(half)
 
 
 class TestSplitSurjection:
