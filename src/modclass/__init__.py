@@ -23,7 +23,6 @@ from .verdict import Verdict
 from .rings import (
     FiniteRing,
     RingAxiomReport,
-    RingElement,
     cyclic_ring,
     galois_field,
     matrix_ring,
@@ -39,7 +38,6 @@ from .dsl import build_ring, load_struct_const, struct_const_from_dict
 from .ideals import (
     ChainConditionsReport,
     Ideal,
-    additive_closure,
     chain_conditions,
     ideal_generated,
     is_local,

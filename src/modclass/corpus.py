@@ -97,7 +97,7 @@ def corpus_test_modules(
     seen: set[tuple] = set()
     unique: list[FiniteModule] = []
     for m in mods:
-        key = (m.size, tuple(int(v) for v in m.act_table.ravel()[:64]))
+        key = (m.size, m.act_table.tobytes())
         if key not in seen:
             seen.add(key)
             unique.append(m)

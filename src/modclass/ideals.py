@@ -1,22 +1,25 @@
-"""One-sided ideals, the Jacobson radical, quotient rings, and ring predicates."""
+"""One-sided ideals, the Jacobson radical, quotient rings, and ring predicates.
+
+A generated ideal is an additive span of generator products (see
+``subgroup``), and the ideal lattice is ``subgroup.lattice`` over the cyclic
+ideals, the same join-closure that builds submodule lattices.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SideError, SizeCapError
 from .rings import FiniteRing, unit_mask
-from .subgroup import generators, grow, span
+from .subgroup import generators, lattice, span
 from .verdict import Verdict
 
 Side = Literal["left", "right", "two-sided"]
-
-_PRODUCT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -31,17 +34,9 @@ class Ideal:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
-
     @property
     def is_whole_ring(self) -> bool:
         return len(self.elements) == self.ring.size
-
-
-def additive_closure(ring: FiniteRing, seeds: Iterable[int]) -> np.ndarray:
-    """Smallest additive subgroup containing the seeds, as sorted indices."""
-    return np.flatnonzero(span(ring.add, ring.size, seeds))
 
 
 def ideal_generated(
@@ -50,81 +45,40 @@ def ideal_generated(
     gens: Sequence[int],
     cfg: EngineConfig | None = None,
 ) -> Ideal:
-    """Least ideal of the given side containing ``gens`` (closure to a fixed point).
+    """Least ideal of the given side containing ``gens``.
 
-    Each generator is added to the marked subgroup with ``grow``; the products
-    of the newly marked elements are taken in blocks of at most 2^16 entries,
-    and each one neither marked nor already queued is queued.  The closure
-    stops early once the whole ring is marked.
+    With e_i the additive generators of R, it is the additive span of the
+    e_i g (left), the g e_j (right) or the e_i g e_j (two-sided), g in gens:
+    multiplication is biadditive and R is unital.
     """
     ring.require_tables("ideal_generated")
     if side not in ("left", "right", "two-sided"):
         raise SideError(f"unknown side {side!r}")
-    mask = np.zeros(ring.size, dtype=bool)
-    mask[0] = True
-    queued = np.zeros(ring.size, dtype=bool)
-    pending: list[int] = []
-
-    def enqueue(products: np.ndarray) -> None:
-        fresh = np.unique(products[~(mask[products] | queued[products])])
-        queued[fresh] = True
-        pending.extend(fresh.tolist())
-
-    enqueue(np.asarray(gens, dtype=np.int64))
     mul = ring.mul_table
-    step = max(1, _PRODUCT_BLOCK // ring.size)
-    marked = 1
-    while pending and marked < ring.size:
-        x = pending.pop()
-        if mask[x]:
-            continue
-        new = grow(ring.add, mask, x)
-        marked += len(new)
-        for start in range(0, len(new), step):
-            ys = new[start : start + step]
-            if side in ("left", "two-sided"):
-                enqueue(mul[:, ys].ravel())
-            if side in ("right", "two-sided"):
-                enqueue(mul[ys, :].ravel())
-    elements = tuple(int(v) for v in np.nonzero(mask)[0])
+    e = ring._gens
+    products = np.asarray(gens, dtype=np.int64)
+    if side in ("left", "two-sided"):
+        products = mul[np.ix_(e, products)]
+    if side in ("right", "two-sided"):
+        products = mul[products[..., None], e]
+    mask = span(ring.add, ring.size, products.ravel())
+    elements = tuple(int(v) for v in np.flatnonzero(mask))
     return Ideal(ring=ring, side=side, elements=elements, generators=tuple(int(g) for g in gens))
-
-
-def _join(ring: FiniteRing, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Sum of two same-side ideals: the additive closure of their union."""
-    return tuple(int(v) for v in additive_closure(ring, set(a) | set(b)))
 
 
 def one_sided_ideals(
     ring: FiniteRing, side: Side, cfg: EngineConfig | None = None
 ) -> list[tuple[int, ...]]:
-    """The full lattice of ideals of the given side (element-set tuples).
-
-    Every ideal is a sum of cyclic ones, so the lattice is the closure of the
-    cyclic ideals under pairwise joins.  Guarded by the enumeration cap.
+    """The full lattice of ideals of the given side (element-set tuples):
+    ``subgroup.lattice`` over the cyclic ideals.  Guarded by the enumeration cap.
     """
     cfg = cfg or DEFAULTS
     if ring.size > cfg.ideal_enum_cap:
         raise SizeCapError(
             f"ideal lattice of {ring.label}: size {ring.size} above cap {cfg.ideal_enum_cap}"
         )
-    cyclics: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for x in range(ring.size):
-        elems = ideal_generated(ring, side, [x], cfg).elements
-        if elems not in seen:
-            seen.add(elems)
-            cyclics.append(elems)
-    found = set(cyclics)
-    queue = list(cyclics)
-    while queue:
-        current = queue.pop()
-        for cyc in cyclics:
-            joined = _join(ring, current, cyc)
-            if joined not in found:
-                found.add(joined)
-                queue.append(joined)
-    return sorted(found, key=lambda t: (len(t), t))
+    cyclics = (ideal_generated(ring, side, [x], cfg).elements for x in range(ring.size))
+    return [tuple(int(v) for v in part) for part in lattice(ring.add, ring.size, cyclics)]
 
 
 def maximal_ideals(ring: FiniteRing, side: Side, cfg: EngineConfig | None = None) -> list[tuple[int, ...]]:

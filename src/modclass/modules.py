@@ -21,7 +21,7 @@ import numpy as np
 from .config import DEFAULTS, EngineConfig
 from .errors import ClosureError, SizeCapError
 from .rings import FiniteRing, _add_rows, _fill
-from .subgroup import generators, grow, span
+from .subgroup import generators, lattice, span
 
 _MODULE_ADD_TABLE_LIMIT = 2048
 # Entries per vectorized block: rows of the addition table, hom candidates.
@@ -238,12 +238,14 @@ def cyclic_submodule(module: FiniteModule, x: int) -> np.ndarray:
 
 
 def submodule_generated(module: FiniteModule, seeds: Sequence[int]) -> np.ndarray:
-    """Least submodule containing the seeds: the additive span of their cyclic submodules."""
-    gens = [g for s in seeds for g in cyclic_submodule(module, int(s))]
-    return np.flatnonzero(span(module.add, module.size, gens))
+    """Least submodule containing the seeds: the additive span of the e_i s,
+    for R's additive generators e_i and the seeds s."""
+    products = module.act_table[np.ix_(module.ring._gens, np.asarray(seeds, dtype=np.int64))]
+    return np.flatnonzero(span(module.add, module.size, products.ravel()))
 
 
 def is_submodule(module: FiniteModule, elements: np.ndarray) -> bool:
+    """An additive subgroup closed under the action of each e_i is closed under R."""
     elements = np.asarray(elements, dtype=np.int64)
     if len(elements) == 0 or 0 not in elements:
         return False
@@ -251,44 +253,18 @@ def is_submodule(module: FiniteModule, elements: np.ndarray) -> bool:
     mask[elements] = True
     if not np.array_equal(span(module.add, module.size, elements), mask):
         return False
-    return bool(mask[module.act_table[:, elements]].all())
+    return bool(mask[module.act_table[np.ix_(module.ring._gens, elements)]].all())
 
 
 def all_submodules(
     module: FiniteModule, cfg: EngineConfig | None = None, limit: int = 20_000
 ) -> list[np.ndarray]:
-    """Every submodule, sorted by size then elements, as sorted element indices.
-
-    Every submodule is a sum of cyclic ones, so the lattice is the closure of
-    the cyclic submodules under joins with a cyclic one.  A join A + R*x grows
-    A's mask by an additive generating set of R*x.  More than ``limit``
+    """Every submodule, sorted by size then elements, as sorted element indices:
+    ``subgroup.lattice`` over the cyclic submodules.  More than ``limit``
     submodules raises SizeCapError.
     """
-    cyclics: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
-    for x in range(module.size):
-        sub = cyclic_submodule(module, x)
-        key = sub.tobytes()
-        if key not in cyclics:
-            cyclics[key] = (sub, generators(module.add, module.size, sub))
-    found: dict[bytes, np.ndarray] = {key: sub for key, (sub, _) in cyclics.items()}
-    queue = list(found.keys())
-    while queue:
-        base = np.zeros(module.size, dtype=bool)
-        base[found[queue.pop()]] = True
-        for csub, cgens in cyclics.values():
-            if base[csub].all():
-                continue
-            mask = base.copy()
-            for g in cgens:
-                grow(module.add, mask, g)
-            joined = np.flatnonzero(mask)
-            jkey = joined.tobytes()
-            if jkey not in found:
-                if len(found) >= limit:
-                    raise SizeCapError(f"{module.label}: submodule lattice above {limit}")
-                found[jkey] = joined
-                queue.append(jkey)
-    return sorted(found.values(), key=lambda a: (len(a), a.tolist()))
+    cyclics = (cyclic_submodule(module, x) for x in range(module.size))
+    return lattice(module.add, module.size, cyclics, limit, f"{module.label}: submodule lattice")
 
 
 def submodule_as_module(

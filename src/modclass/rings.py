@@ -23,9 +23,6 @@ import numpy as np
 from .config import DEFAULTS, EngineConfig
 from .errors import RingValidationError, SizeCapError
 
-# Ring elements are canonical integer indices into the carrier.
-RingElement = int
-
 
 def _as_int32(a) -> np.ndarray:
     return np.asarray(a, dtype=np.int32)

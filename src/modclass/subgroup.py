@@ -5,7 +5,14 @@ vectorized ``add``: ``add(xs, y)`` adds the element y to every entry of the
 index array xs, and ``add(x, y)`` on two elements returns their sum.  Ring
 addition, module addition and free-cover addition all have this form, so
 every additive closure in the package (ideals, submodules, relation
-submodules, the flatness images) runs through this module.
+submodules, the flatness images) runs through this module, and so do both
+lattices, of one-sided ideals and of submodules (``lattice``).
+
+A generated ideal or submodule is itself an additive span.  With e_i the
+additive generators of a unital ring R, multiplication is biadditive, so
+r·g·s = Σ r_i s_j (e_i g e_j): the two-sided ideal generated by S is the span
+of the e_i g e_j for g in S, the left one the span of the e_i g, and the
+submodule generated by S the span of the e_i s.
 
 ``grow`` adds one generator g to a marked subgroup H by doubling.  After i
 rounds the mask holds H + {0, ..., 2^i - 1}·g.  The next round shifts
@@ -21,6 +28,8 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 import numpy as np
+
+from .errors import SizeCapError
 
 
 def grow(add: Callable, mask: np.ndarray, g: int) -> np.ndarray:
@@ -67,3 +76,46 @@ def generators(add: Callable, size: int, elements: Iterable[int]) -> tuple[int, 
             grow(add, mask, x)
             picked.append(int(x))
     return tuple(picked)
+
+
+def lattice(
+    add: Callable,
+    size: int,
+    parts: Iterable[np.ndarray],
+    limit: int | None = None,
+    name: str = "lattice",
+) -> list[np.ndarray]:
+    """Every sum of the closed ``parts`` (ideals or submodules, each as sorted
+    element indices), as sorted element-index arrays sorted by (size, elements).
+
+    The ideals or submodules of a ring or module are exactly the sums of its
+    cyclic ones, so passing those as ``parts`` yields the whole lattice: it is
+    the closure of the parts under joins with one part.  A join A + P grows
+    A's mask by an additive generating set of P.  Finding more than ``limit``
+    members raises SizeCapError("<name> above <limit>").
+    """
+    closed: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
+    for part in parts:
+        part = np.asarray(part, dtype=np.int64)
+        key = part.tobytes()
+        if key not in closed:
+            closed[key] = (part, generators(add, size, part))
+    found: dict[bytes, np.ndarray] = {key: part for key, (part, _) in closed.items()}
+    queue = list(found)
+    while queue:
+        base = np.zeros(size, dtype=bool)
+        base[found[queue.pop()]] = True
+        for part, gens in closed.values():
+            if base[part].all():
+                continue
+            mask = base.copy()
+            for g in gens:
+                grow(add, mask, g)
+            joined = np.flatnonzero(mask)
+            key = joined.tobytes()
+            if key not in found:
+                if limit is not None and len(found) >= limit:
+                    raise SizeCapError(f"{name} above {limit}")
+                found[key] = joined
+                queue.append(key)
+    return sorted(found.values(), key=lambda a: (len(a), a.tolist()))

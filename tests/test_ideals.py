@@ -9,6 +9,7 @@ from modclass import (
     ConsistencyError,
     FiniteRing,
     SideError,
+    all_submodules,
     chain_conditions,
     galois_field,
     ideal_generated,
@@ -21,6 +22,8 @@ from modclass import (
     one_sided_ideals,
     quotient_ring,
     radical_nilpotency_degree,
+    random_recipe_rings,
+    regular_module,
     units,
 )
 
@@ -46,16 +49,35 @@ def naive_ideal(ring, side, gens):
         members = grown
 
 
+def check_against_naive(ring, gen_sets):
+    for side in ("left", "right", "two-sided"):
+        for gens in gen_sets:
+            expected = tuple(int(v) for v in naive_ideal(ring, side, gens))
+            assert ideal_generated(ring, side, gens).elements == expected, (ring.label, side, gens)
+
+
 class TestIdealGenerated:
     def test_matches_naive_fixed_point(self, corpus):
         rng = np.random.default_rng(0)
-        for spec, ring in corpus.items():
+        for ring in corpus.values():
             gen_sets = [[x] for x in range(ring.size)]
             gen_sets += [rng.integers(0, ring.size, k).tolist() for k in (2, 2, 3)]
-            for side in ("left", "right", "two-sided"):
-                for gens in gen_sets:
-                    expected = tuple(int(v) for v in naive_ideal(ring, side, gens))
-                    assert ideal_generated(ring, side, gens).elements == expected, (spec, side, gens)
+            if ring.size <= 16:
+                gen_sets += [[x, y] for x in range(1, ring.size) for y in range(x + 1, ring.size)]
+            check_against_naive(ring, gen_sets)
+
+    def test_random_rings_match_naive_fixed_point(self):
+        rng = np.random.default_rng(5)
+        for ring in random_recipe_rings(100, seed=5):
+            gen_sets = [[x] for x in range(ring.size)]
+            gen_sets += [rng.integers(0, ring.size, 2).tolist() for _ in range(4)]
+            check_against_naive(ring, gen_sets)
+
+    def test_left_ideal_lattice_is_the_regular_submodule_lattice(self, corpus):
+        rings = [r for r in corpus.values() if r.size <= 64] + random_recipe_rings(100, seed=5)
+        for ring in rings:
+            submodules = [tuple(int(v) for v in s) for s in all_submodules(regular_module(ring))]
+            assert one_sided_ideals(ring, "left") == submodules, ring.label
 
     def test_z6_two(self, z6):
         assert ideal_generated(z6, "two-sided", [2]).elements == (0, 2, 4)

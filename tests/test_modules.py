@@ -1,5 +1,7 @@
 """Module presentations, carriers, homomorphism enumeration."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,10 @@ from modclass import (
     zero_module,
     EngineConfig,
     FiniteModule,
+    submodule_generated,
 )
+from modclass.modules import is_submodule
+from modclass.subgroup import span
 
 
 class TestConstruction:
@@ -244,6 +249,44 @@ class TestSubmodules:
         # subspaces of a 4-dimensional binary space: 67 of them.
         reg = regular_module(m2f2)
         assert len(all_submodules(direct_sum(reg, reg))) == 67
+
+    def test_generated_is_the_span_of_the_cyclic_submodules(self, corpus):
+        # Oracle: the sum of the R*s, each listed element by element.
+        rng = np.random.default_rng(1)
+        for ring in corpus.values():
+            if ring.size > 16:
+                continue
+            reg = regular_module(ring)
+            for module in (reg, direct_sum(reg, reg)):
+                seed_sets = [[x] for x in range(module.size)]
+                seed_sets += [rng.integers(0, module.size, k).tolist() for k in (2, 2, 3, 3)]
+                for seeds in seed_sets:
+                    parts = [int(y) for s in seeds for y in cyclic_submodule(module, s)]
+                    expected = np.flatnonzero(span(module.add, module.size, parts))
+                    got = submodule_generated(module, seeds)
+                    assert np.array_equal(got, expected), (module.label, seeds)
+
+    def test_is_submodule_matches_the_whole_action(self, corpus):
+        # On additive subgroups, closure under the e_i must equal closure under R.
+        rng = np.random.default_rng(2)
+        for ring in corpus.values():
+            if ring.size > 16:
+                continue
+            reg = regular_module(ring)
+            for module in (reg, direct_sum(reg, reg)):
+                for k in (1, 1, 2, 2, 3):
+                    for _ in range(5):
+                        subgroup = np.flatnonzero(span(module.add, module.size, rng.integers(0, module.size, k)))
+                        mask = np.zeros(module.size, dtype=bool)
+                        mask[subgroup] = True
+                        closed = bool(mask[module.act_table[:, subgroup]].all())
+                        assert is_submodule(module, subgroup) == closed, (module.label, subgroup)
+
+    def test_lattice_cap_names_the_module(self, m2f2):
+        reg = regular_module(m2f2)
+        square = direct_sum(reg, reg)
+        with pytest.raises(SizeCapError, match=re.escape(f"{square.label}: submodule lattice above 10")):
+            all_submodules(square, limit=10)
 
     @given(st.sampled_from(["Z/4", "Z/6", "Z/8", "T(2,GF(2))"]), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)

@@ -11,6 +11,7 @@ from modclass import (
     Ideal,
     ModuleHom,
     all_submodules,
+    build_ring,
     corpus_test_modules,
     cyclic_submodule,
     direct_sum,
@@ -191,6 +192,17 @@ def _oracle_modules(corpus):
     for ring in random_recipe_rings(100, seed=5):
         yield regular_module(ring)
         yield from corpus_test_modules(ring)
+
+
+class TestCorpusTestModules:
+    def test_modules_sharing_a_table_prefix_are_both_kept(self):
+        # P2 (projective) and R/J (not projective) over T(2,GF(4)) both have
+        # 16 elements and agree on the first 64 action-table entries.
+        ring = build_ring("T(2,GF(4))")
+        modules = {m.label: m for m in corpus_test_modules(ring)}
+        assert {"P2(T(2,GF(4)))", "T(2,GF(4))/J"} <= set(modules)
+        assert is_projective_module(modules["P2(T(2,GF(4)))"]).value
+        assert not is_projective_module(modules["T(2,GF(4))/J"]).value
 
 
 class TestCoverCountOracles:
