@@ -69,6 +69,7 @@ from .decompose import (
     DecompositionSignature,
     IdempotentDecomposition,
     IndecomposableRegistry,
+    central_primitive_idempotents,
     corner_isomorphism,
     get_registry,
     idempotents,

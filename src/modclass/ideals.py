@@ -14,6 +14,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
+from .decompose import central_primitive_idempotents
 from .errors import ConsistencyError, SideError, SizeCapError
 from .rings import FiniteRing, unit_mask
 from .subgroup import generators, lattice, span
@@ -70,15 +71,19 @@ def one_sided_ideals(
     ring: FiniteRing, side: Side, cfg: EngineConfig | None = None
 ) -> list[tuple[int, ...]]:
     """The full lattice of ideals of the given side (element-set tuples):
-    ``subgroup.lattice`` over the cyclic ideals.  Guarded by the enumeration cap.
+    ``subgroup.lattice`` over the cyclic ideals of x in c_b·R, one block per
+    central primitive idempotent c_b.  Guarded by the enumeration cap.
     """
     cfg = cfg or DEFAULTS
     if ring.size > cfg.ideal_enum_cap:
         raise SizeCapError(
             f"ideal lattice of {ring.label}: size {ring.size} above cap {cfg.ideal_enum_cap}"
         )
-    cyclics = (ideal_generated(ring, side, [x], cfg).elements for x in range(ring.size))
-    return [tuple(int(v) for v in part) for part in lattice(ring.add, ring.size, cyclics)]
+    blocks = (
+        (ideal_generated(ring, side, [x], cfg).elements for x in np.unique(ring.mul_table[c]))
+        for c in central_primitive_idempotents(ring)
+    )
+    return [tuple(int(v) for v in part) for part in lattice(ring.add, ring.size, blocks)]
 
 
 def maximal_ideals(ring: FiniteRing, side: Side, cfg: EngineConfig | None = None) -> list[tuple[int, ...]]:

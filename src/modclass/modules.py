@@ -260,11 +260,18 @@ def all_submodules(
     module: FiniteModule, cfg: EngineConfig | None = None, limit: int = 20_000
 ) -> list[np.ndarray]:
     """Every submodule, sorted by size then elements, as sorted element indices:
-    ``subgroup.lattice`` over the cyclic submodules.  More than ``limit``
-    submodules raises SizeCapError.
+    ``subgroup.lattice`` over the cyclic submodules R·x, x in c_b·M, one block
+    per central primitive idempotent c_b.  More than ``limit`` submodules
+    raises SizeCapError.
     """
-    cyclics = (cyclic_submodule(module, x) for x in range(module.size))
-    return lattice(module.add, module.size, cyclics, limit, f"{module.label}: submodule lattice")
+    from .decompose import central_primitive_idempotents  # decompose imports this module
+
+    act = module.act_table
+    blocks = (
+        (cyclic_submodule(module, x) for x in np.unique(act[c]))
+        for c in central_primitive_idempotents(module.ring)
+    )
+    return lattice(module.add, module.size, blocks, limit, f"{module.label}: submodule lattice")
 
 
 def submodule_as_module(

@@ -14,6 +14,14 @@ r·g·s = Σ r_i s_j (e_i g e_j): the two-sided ideal generated by S is the span
 of the e_i g e_j for g in S, the left one the span of the e_i g, and the
 submodule generated by S the span of the e_i s.
 
+Lattices are built block by block.  With c_b the central primitive
+idempotents of R, R = ∏ R·c_b, every module is M = (+) c_b·M and every
+submodule is N = (+) c_b·N, so Sub(M) = ∏ Sub(c_b·M), and the same holds for
+one-sided ideals.  ``lattice`` closes each block's cyclic parts under joins on
+their own and returns every direct sum of one member per block: 335 = 5 x 67
+submodules of R² over GF(2) x M(2,GF(2)) cost two small closures, not one
+closure over 1024 elements.
+
 ``grow`` adds one generator g to a marked subgroup H by doubling.  After i
 rounds the mask holds H + {0, ..., 2^i - 1}·g.  The next round shifts
 everything marked by x = 2^i·g, which gives H + {0, ..., 2^(i+1) - 1}·g, and
@@ -78,22 +86,11 @@ def generators(add: Callable, size: int, elements: Iterable[int]) -> tuple[int, 
     return tuple(picked)
 
 
-def lattice(
-    add: Callable,
-    size: int,
-    parts: Iterable[np.ndarray],
-    limit: int | None = None,
-    name: str = "lattice",
+def _join_closure(
+    add: Callable, size: int, parts: Iterable[np.ndarray], limit: int | None, name: str
 ) -> list[np.ndarray]:
-    """Every sum of the closed ``parts`` (ideals or submodules, each as sorted
-    element indices), as sorted element-index arrays sorted by (size, elements).
-
-    The ideals or submodules of a ring or module are exactly the sums of its
-    cyclic ones, so passing those as ``parts`` yields the whole lattice: it is
-    the closure of the parts under joins with one part.  A join A + P grows
-    A's mask by an additive generating set of P.  Finding more than ``limit``
-    members raises SizeCapError("<name> above <limit>").
-    """
+    """Every sum of the closed ``parts``: their closure under joins with one
+    part.  A join A + P grows A's mask by an additive generating set of P."""
     closed: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
     for part in parts:
         part = np.asarray(part, dtype=np.int64)
@@ -118,4 +115,42 @@ def lattice(
                     raise SizeCapError(f"{name} above {limit}")
                 found[key] = joined
                 queue.append(key)
-    return sorted(found.values(), key=lambda a: (len(a), a.tolist()))
+    return list(found.values())
+
+
+def lattice(
+    add: Callable,
+    size: int,
+    blocks: Iterable[Iterable[np.ndarray]],
+    limit: int | None = None,
+    name: str = "lattice",
+) -> list[np.ndarray]:
+    """Every sum of the closed ``parts`` (ideals or submodules, each as sorted
+    element indices), grouped into ``blocks``, as sorted element-index arrays
+    sorted by (size, elements).
+
+    The ideals or submodules of a ring or module are exactly the sums of its
+    cyclic ones, so passing those as parts yields the whole lattice.  Over
+    the central primitive idempotents c_b of R, M = (+) c_b M and every
+    submodule N = (+) c_b N, so Sub(M) = prod Sub(c_b M): each block is the
+    cyclic parts inside one c_b M, each block's lattice is closed on its own,
+    and the result is every direct sum N_1 + ... + N_k, one N_b per block.
+    A block's lattice with more than ``limit`` members, or a product of block
+    counts above it, raises SizeCapError("<name> above <limit>") before any
+    direct sum is built.
+    """
+    lattices = []
+    count = 1
+    for parts in blocks:
+        lattices.append(_join_closure(add, size, parts, limit, name))
+        count *= len(lattices[-1])
+        if limit is not None and count > limit:
+            raise SizeCapError(f"{name} above {limit}")
+    sums = [np.zeros(1, dtype=np.int64)]
+    for members in lattices:
+        sums = [
+            np.sort(add(a[:, None], b[None, :]), axis=None).astype(np.int64, copy=False)
+            for a in sums
+            for b in members
+        ]
+    return sorted(sums, key=lambda a: (len(a), a.tolist()))

@@ -9,6 +9,7 @@ import pytest
 from modclass import (
     DEFAULTS,
     build_ring,
+    central_primitive_idempotents,
     corner_isomorphism,
     cyclic_submodule,
     direct_sum,
@@ -20,6 +21,7 @@ from modclass import (
     krull_schmidt,
     primitive_decomposition,
     quotient_module,
+    random_recipe_rings,
     regular_module,
     submodule_as_module,
 )
@@ -32,6 +34,51 @@ class TestIdempotents:
         assert idempotents(z6) == (0, 1, 3, 4)
         assert idempotents(z4) == (0, 1)
         assert idempotents(gf4) == (0, 1)
+
+
+class TestCentralPrimitiveIdempotents:
+    @staticmethod
+    def check(ring):
+        """Central, idempotent, pairwise orthogonal, summing to 1, ascending,
+        and primitive: the central idempotents, found by commuting with every
+        element, are exactly the 2^k sums of subsets of the k blocks."""
+        mul = ring.mul_table
+        blocks = central_primitive_idempotents(ring)
+        assert list(blocks) == sorted(blocks)
+        total = 0
+        for i, c in enumerate(blocks):
+            assert c != 0 and int(mul[c, c]) == c
+            assert np.array_equal(mul[c, :], mul[:, c])
+            for d in blocks[i + 1 :]:
+                assert int(mul[c, d]) == 0 and int(mul[d, c]) == 0
+            total = ring.add(total, c)
+        if ring.size > 1:
+            assert total == ring.one
+        central = [e for e in idempotents(ring) if np.array_equal(mul[e, :], mul[:, e])]
+        assert len(central) == 2 ** len(blocks)
+        return blocks
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [
+            ("Z/6", 2),
+            ("Z/12", 2),
+            ("GF(2) x M(2,GF(2))", 2),
+            ("Z/8", 1),
+            ("T(2,GF(2))", 1),
+            ("M(2,GF(2))", 1),
+            ("GF(2) x Z/4 x T(2,GF(2))", 3),
+        ],
+    )
+    def test_counts(self, spec, count):
+        assert len(self.check(build_ring(spec))) == count
+
+    def test_z6(self, z6):
+        assert central_primitive_idempotents(z6) == (3, 4)
+
+    def test_corpus_and_random_rings(self, corpus):
+        for ring in list(corpus.values()) + random_recipe_rings(100, seed=5):
+            self.check(ring)
 
 
 class TestPrimitiveDecomposition:

@@ -1,9 +1,27 @@
-"""The additive-subgroup kernel against a naive fixed-point oracle."""
+"""The additive-subgroup kernel against a naive fixed-point oracle, and the
+block-split lattices against the unsplit join-closure."""
+
+import re
 
 import numpy as np
+import pytest
 
-from modclass import BUILTIN_CORPUS_SPECS, build_ring, free_module, regular_module
-from modclass.subgroup import generators, span
+from modclass import (
+    BUILTIN_CORPUS_SPECS,
+    DEFAULTS,
+    SizeCapError,
+    all_submodules,
+    build_ring,
+    central_primitive_idempotents,
+    cyclic_submodule,
+    direct_sum,
+    free_module,
+    ideal_generated,
+    one_sided_ideals,
+    random_recipe_rings,
+    regular_module,
+)
+from modclass.subgroup import generators, lattice, span
 
 
 def naive_span(add, gens):
@@ -44,3 +62,64 @@ def test_rank_two_free_modules_match_oracle():
         module = free_module(build_ring(spec), 2)
         pairs = [[x, y] for x in range(module.size) for y in range(x, module.size)]
         check_against_oracle(module.add, module.size, pairs)
+
+
+# -- the block-split lattice against the unsplit join-closure --------------------
+
+
+def unsplit_submodules(module):
+    """Every cyclic submodule fed to ``lattice`` as one single block."""
+    cyclics = [cyclic_submodule(module, x) for x in range(module.size)]
+    return [tuple(a.tolist()) for a in lattice(module.add, module.size, [cyclics])]
+
+
+def unsplit_ideals(ring, side):
+    cyclics = [ideal_generated(ring, side, [x]).elements for x in range(ring.size)]
+    return [tuple(a.tolist()) for a in lattice(ring.add, ring.size, [cyclics])]
+
+
+def split_submodules(module):
+    return [tuple(a.tolist()) for a in all_submodules(module)]
+
+
+def test_split_submodule_lattices_of_corpus_r_and_r2_match_unsplit(corpus):
+    for ring in corpus.values():
+        reg = regular_module(ring)
+        modules = [reg] + ([direct_sum(reg, reg)] if reg.size**2 <= DEFAULTS.max_module else [])
+        for module in modules:
+            assert split_submodules(module) == unsplit_submodules(module), module.label
+
+
+def test_split_lattices_of_random_rings_match_unsplit(corpus):
+    random_rings = random_recipe_rings(100, seed=5)
+    for ring in random_rings:
+        reg = regular_module(ring)
+        assert split_submodules(reg) == unsplit_submodules(reg), ring.label
+    small = [r for r in corpus.values() if r.size <= DEFAULTS.ideal_enum_cap]
+    for ring in small + random_rings:
+        for side in ("left", "right", "two-sided"):
+            assert one_sided_ideals(ring, side) == unsplit_ideals(ring, side), (ring.label, side)
+
+
+def test_cap_on_the_product_raises_before_any_direct_sum():
+    # R^2 over Z/6 = Z/2 x Z/3: blocks of 5 and 6 submodules, 30 in all.
+    ring = build_ring("Z/6")
+    reg = regular_module(ring)
+    square = direct_sum(reg, reg)
+    assert len(all_submodules(square)) == 30
+    blocks = [
+        [cyclic_submodule(square, x) for x in np.unique(square.act_table[c])]
+        for c in central_primitive_idempotents(ring)
+    ]
+
+    def closure_add(x, y):
+        # The join-closure only adds to 1-D member arrays; a direct sum adds 2-D ones.
+        assert np.ndim(x) <= 1, "a direct sum was built"
+        return square.add(x, y)
+
+    assert len(lattice(square.add, square.size, [blocks[0]], limit=10)) == 5
+    assert len(lattice(square.add, square.size, [blocks[1]], limit=10)) == 6
+    with pytest.raises(SizeCapError, match=re.escape("lattice above 10")):
+        lattice(closure_add, square.size, blocks, limit=10)
+    with pytest.raises(SizeCapError, match=re.escape(f"{square.label}: submodule lattice above 10")):
+        all_submodules(square, limit=10)
