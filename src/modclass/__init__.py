@@ -43,7 +43,6 @@ from .ideals import (
     is_local,
     is_simple_ring,
     jacobson_radical,
-    maximal_ideals,
     one_sided_ideals,
     quotient_ring,
     radical_nilpotency_degree,
@@ -82,7 +81,6 @@ from .properties import (
     is_flat_module,
     is_free_module,
     is_projective_module,
-    split_surjection_search,
 )
 from .pp import (
     Invariant,

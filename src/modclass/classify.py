@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
-from .decompose import is_isomorphic, primitive_decomposition
-from .errors import ConsistencyError, ModclassError
+from .decompose import IdempotentDecomposition, corner_isomorphism, primitive_decomposition
+from .errors import ConsistencyError
 from .ideals import (
     chain_conditions,
     is_local,
@@ -32,7 +32,6 @@ from .ideals import (
     quotient_ring,
     radical_nilpotency_degree,
 )
-from .modules import direct_sum, regular_module
 from .properties import is_free_module
 from .rings import FiniteRing, galois_field, matrix_ring, matrix_units, verify_ring_axioms
 from .verdict import Verdict
@@ -344,6 +343,27 @@ def classify_matrix_family(
     return report, certificate
 
 
+def _regular_is_p_power(ring: FiniteRing, decomposition: IdempotentDecomposition) -> bool:
+    """Whether (x_f) -> sum_f x_f a_f is a bijection (Re)^r -> R, for e the
+    first idempotent of the first class and f over that class's r members.
+
+    ``corner_isomorphism`` gives a in eRf and b in fRe with ab = e, ba = f,
+    so x -> x a maps Re to Rf with x a b = x; the map commutes with the left
+    action, so a bijection is an explicit isomorphism P^r = R.
+    """
+    mul = ring.mul_table
+    e = decomposition.classes[0][0]
+    column = np.unique(mul[:, e])  # Re
+    sums = np.zeros(1, dtype=np.int64)
+    for f in decomposition.classes[0]:
+        a, b = corner_isomorphism(ring, e, f)
+        image = mul[column, a]
+        if not np.array_equal(mul[image, b], column):
+            return False
+        sums = ring.add(sums[:, None], image[None, :]).ravel()
+    return len(sums) == ring.size and len(np.unique(sums)) == ring.size
+
+
 def _finite_certificate(
     n: int,
     q: int,
@@ -355,17 +375,7 @@ def _finite_certificate(
     identities = _matrix_unit_identities(n, q, cfg)
     decomposition = primitive_decomposition(ring, cfg)
     p_module = decomposition.representatives[0]
-    reg = regular_module(ring, cfg)
-
-    power = p_module
-    power_matches: bool | None = None
-    try:
-        for _ in range(n - 1):
-            power = direct_sum(power, p_module, cfg)
-        power_matches = bool(is_isomorphic(power, reg, cfg))
-    except ModclassError:
-        power_matches = None
-
+    power_matches = _regular_is_p_power(ring, decomposition)
     free_verdict = is_free_module(p_module, cfg)
     claims = [
         CertificateClaim(

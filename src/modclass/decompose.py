@@ -276,22 +276,17 @@ def _find_splitting_idempotent(
     is evaluated for a whole block of candidate tuples at once.
     """
     g, size = module.num_generators, module.size
-    powers = size ** np.arange(g, dtype=np.int64)
-    id_index = int(np.dot(module.gens, powers))
-    act = module.act_table
+    powers = [size**i for i in range(g)]
+    id_index = sum(gen * power for gen, power in zip(module.gens, powers))
     for block in hom_candidate_blocks(module, module, cfg, rng):
         block = block[(block != 0) & (block != id_index)]
-        images = (block[:, None] // powers) % size  # (n, g)
-        coeffs = module._cover_digits(module.rep[images])  # (n, g, g): c_ji
+        images = [(block // power) % size for power in powers]
         fixed = np.ones(len(block), dtype=bool)
-        for j in range(g):
-            value = np.zeros(len(block), dtype=np.int64)
-            for i in range(g):
-                value = module.add(value, act[coeffs[:, j, i], images[:, i]])
-            fixed &= value == images[:, j]
+        for y in images:
+            fixed &= module.combine(module.coords(y).T, images) == y  # c_ji = coords(y_j)[i]
         hits = np.flatnonzero(fixed)
         if len(hits):
-            return tuple(int(y) for y in images[hits[0]])
+            return tuple(int(y[hits[0]]) for y in images)
     return None
 
 

@@ -86,18 +86,6 @@ def one_sided_ideals(
     return [tuple(int(v) for v in part) for part in lattice(ring.add, ring.size, blocks)]
 
 
-def maximal_ideals(ring: FiniteRing, side: Side, cfg: EngineConfig | None = None) -> list[tuple[int, ...]]:
-    """Maximal proper ideals of the given side, from the full lattice."""
-    lattice = one_sided_ideals(ring, side, cfg)
-    proper = [i for i in lattice if len(i) < ring.size]
-    out = []
-    for i in proper:
-        iset = set(i)
-        if not any(len(j) > len(i) and iset < set(j) for j in proper):
-            out.append(i)
-    return out
-
-
 def jacobson_radical(ring: FiniteRing, cfg: EngineConfig | None = None) -> Ideal:
     """J = {x : R*x is nil}, the largest nil left ideal of a finite ring,
     verified two-sided and nilpotent.  x is nilpotent iff x^(2^s) = 0 once

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,8 +24,12 @@ from .rings import FiniteRing, _add_rows, _fill
 from .subgroup import generators, lattice, span
 
 _MODULE_ADD_TABLE_LIMIT = 2048
-# Entries per vectorized block: rows of the addition table, hom candidates.
+# Entries per block of rows of the addition table.
 _BLOCK = 1 << 16
+# Tuples evaluated per block by ``solution_blocks``: the int64 temporaries of a
+# block (128 KB each) are reused from the heap instead of being mapped and
+# faulted afresh.
+_SOLUTION_BLOCK = 1 << 14
 
 
 class FiniteModule:
@@ -139,6 +143,21 @@ class FiniteModule:
     def act(self, r, x):
         out = self.act_table[r, x]
         return int(out) if np.ndim(out) == 0 else out
+
+    def combine(self, coeffs, elements):
+        """sum_i coeffs[i]·elements[i]: the one evaluator of R-linear combinations.
+
+        Each coefficient is a ring element or an array of them, each element a
+        carrier element or an array of them; arrays broadcast.  A scalar
+        coefficient gathers one row of the action table.  No terms give zeros
+        of the shape of one coefficient, ``np.shape(coeffs)[1:]``.
+        """
+        act = self.act_table
+        total = None
+        for c, y in zip(coeffs, elements):
+            term = act[c, y] if isinstance(c, np.ndarray) else act[int(c)][y]
+            total = term if total is None else self.add(total, term)
+        return np.zeros(np.shape(coeffs)[1:], dtype=np.int64) if total is None else total
 
     @property
     def zero(self) -> int:
@@ -308,13 +327,9 @@ def submodule_as_module(
     cover = ring.size**g
     if cover > max(cfg.max_module, cfg.max_homs):
         raise SizeCapError(f"{label}: relation scan space {cover} above cap")
-    w = np.arange(cover, dtype=np.int64)
     powers = ring.size ** np.arange(g, dtype=np.int64)
-    digits = (w[:, None] // powers) % ring.size
-    values = np.zeros(cover, dtype=np.int64)
-    for i, gen in enumerate(gens):
-        values = module.add(values, module.act_table[digits[:, i], gen])
-    sub = _module_from_cover_map(ring, g, values, label, cfg)
+    digits = (np.arange(cover, dtype=np.int64)[:, None] // powers) % ring.size
+    sub = _module_from_cover_map(ring, g, module.combine(digits.T, gens), label, cfg)
     if sub.size != len(elements):
         raise ClosureError(f"{label}: presentation size {sub.size} != submodule {len(elements)}")
     return sub
@@ -359,18 +374,17 @@ def direct_sum(
     if size > cfg.max_module:
         raise SizeCapError(f"direct sum size {size} above cap {cfg.max_module}")
     ring = a.ring
-    ga, gb = a.num_generators, b.num_generators
-    shift = ring.size**ga
-    ka = a.relations
-    kb = b.relations
-    relations = (ka[None, :] + kb[:, None] * shift).ravel()
-    cover = ring.size ** (ga + gb)
+    label = f"{a.label} (+) {b.label}"
+    cover = a.cover_size * b.cover_size
+    if cover > max(cfg.max_module, cfg.max_homs):
+        raise SizeCapError(f"{label}: free cover {cover} above cap")
+    shift = a.cover_size
+    relations = (a.relations[None, :] + b.relations[:, None] * shift).ravel()
     w = np.arange(cover, dtype=np.int64)
     cls = a.cls[w % shift] + b.cls[w // shift] * a.size
     ids = np.arange(size)
     rep = a.rep[ids % a.size] + b.rep[ids // a.size] * shift
-    label = f"{a.label} (+) {b.label}"
-    return FiniteModule(ring, ga + gb, np.unique(relations), cls, rep, label)
+    return FiniteModule(ring, a.num_generators + b.num_generators, np.unique(relations), cls, rep, label)
 
 
 def zero_module(ring: FiniteRing, cfg: EngineConfig | None = None) -> FiniteModule:
@@ -426,75 +440,60 @@ def _relation_generators(module: FiniteModule) -> np.ndarray:
     return module._relation_gens
 
 
-def hom_candidate_space(source: FiniteModule, target: FiniteModule) -> int:
-    return target.size**source.num_generators
-
-
-def _hom_validator(
-    source: FiniteModule, target: FiniteModule, cfg: EngineConfig | None
-) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
-    """Size of the candidate space and a validity test on candidate indices.
-
-    A candidate is a generator-image tuple (y_1..y_g) in base-|target| digits.
-    It defines a module map iff every relation of the source annihilates it;
-    checking the additive generators of the relation submodule suffices
-    because the constraint is additive in the relation.
-    """
-    cfg = cfg or DEFAULTS
-    space = hom_candidate_space(source, target)
-    if space > cfg.max_homs:
-        raise SizeCapError(
-            f"hom search {source.label} -> {target.label}: "
-            f"candidate space {space} above cap {cfg.max_homs}"
-        )
-    powers = target.size ** np.arange(source.num_generators, dtype=np.int64)
-    rel_digits = source._cover_digits(_relation_generators(source))  # (#gens, g) ring coefficients
-
-    def valid(candidates: np.ndarray) -> np.ndarray:
-        images = [(candidates // power) % target.size for power in powers]
-        ok = np.ones(len(candidates), dtype=bool)
-        for row in rel_digits:
-            acc = np.zeros(len(candidates), dtype=np.int64)
-            for coeff, yi in zip(row, images):
-                acc = target.add(acc, target.act_table[int(coeff), yi])
-            ok &= acc == 0
-        return ok
-
-    return space, valid
-
-
-def hom_image_mask(
-    source: FiniteModule, target: FiniteModule, cfg: EngineConfig | None = None
-) -> np.ndarray:
-    """Validity mask over all generator-image tuples (base-|target| digits)."""
-    space, valid = _hom_validator(source, target, cfg)
-    return valid(np.arange(space, dtype=np.int64))
-
-
 def hom_from_images(source: FiniteModule, target: FiniteModule, images: Sequence[int]) -> ModuleHom:
     """Extend generator images to the whole carrier by linearity."""
     digits = source._cover_digits(source.rep)  # (size, g)
-    table = np.zeros(source.size, dtype=np.int64)
-    for i, y in enumerate(images):
-        table = target.add(table, target.act_table[digits[:, i], int(y)])
-    return ModuleHom(source, target, table)
+    return ModuleHom(source, target, target.combine(digits.T, images))
 
 
 def _images_of(space_index: int, g: int, base: int) -> tuple[int, ...]:
     return tuple((space_index // base**i) % base for i in range(g))
 
 
-def hom_enumerate(
-    source: FiniteModule, target: FiniteModule, cfg: EngineConfig | None = None
-) -> list[ModuleHom]:
-    """All module maps source -> target, ordered by generator-image tuples."""
-    cfg = cfg or DEFAULTS
-    mask = hom_image_mask(source, target, cfg)
-    homs = []
-    for w in np.nonzero(mask)[0]:
-        images = _images_of(int(w), source.num_generators, target.size)
-        homs.append(hom_from_images(source, target, images))
-    return homs
+def solution_blocks(
+    module: FiniteModule,
+    rows: np.ndarray,
+    cfg: EngineConfig,
+    what: str,
+    rng: np.random.Generator | None = None,
+) -> Iterator[np.ndarray]:
+    """The tuples (y_1..y_n) of M^n with sum_j c_j·y_j = 0 for every row c of
+    the (k, n) ring-element array ``rows``, as base-|M| indices, one array
+    per ``_SOLUTION_BLOCK`` tuples scanned; blocks without a solution are
+    skipped.
+
+    Without an rng the tuples come in ascending order.  With one they follow
+    the seeded affine permutation w -> (a*w + b) mod |M|^n, gcd(a, |M|^n) = 1,
+    so either way every solution comes exactly once.  The cap check and the
+    draws happen on the call, before any block: a space above
+    ``cfg.max_homs`` raises SizeCapError("<what> <space> above cap ...").
+    """
+    m, width = module.size, rows.shape[1]
+    space = m**width
+    if space > cfg.max_homs:
+        raise SizeCapError(f"{what} {space} above cap {cfg.max_homs}")
+    a, b = 1, 0
+    if rng is not None and space > 1:
+        a = int(rng.integers(1, space))
+        while gcd(a, space) != 1:
+            a = int(rng.integers(1, space))
+        b = int(rng.integers(0, space))
+    powers = [m**j for j in range(width)]
+    coefficient_rows = rows.tolist()
+
+    def scan() -> Iterator[np.ndarray]:
+        for start in range(0, space, _SOLUTION_BLOCK):
+            block = np.arange(start, min(start + _SOLUTION_BLOCK, space), dtype=np.int64)
+            if rng is not None:
+                block = (a * block + b) % space
+            ys = [(block // power) % m for power in powers]
+            ok = np.ones(len(block), dtype=bool)
+            for row in coefficient_rows:
+                ok &= module.combine(row, ys) == 0
+            if ok.any():
+                yield block[ok]
+
+    return scan()
 
 
 def hom_candidate_blocks(
@@ -503,26 +502,26 @@ def hom_candidate_blocks(
     cfg: EngineConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> Iterator[np.ndarray]:
-    """Valid generator-image tuples as arrays of candidate indices
-    (base-|target| digits), one array per ``_BLOCK`` candidates scanned;
-    blocks without a valid candidate are skipped.
-
-    Without an rng the candidates come in ascending order.  With one they
-    follow the seeded affine permutation w -> (a*w + b) mod space, gcd(a,
-    space) = 1, so either way every valid candidate comes exactly once.
+    """Generator-image tuples (y_1..y_g) that define module maps, as
+    ``solution_blocks`` over the target: a tuple defines a map iff every
+    relation of the source annihilates it, and checking the additive
+    generators of the relation submodule suffices because the constraint is
+    additive in the relation.
     """
-    space, valid = _hom_validator(source, target, cfg)
-    a, b = 1, 0
-    if rng is not None and space > 1:
-        a = int(rng.integers(1, space))
-        while gcd(a, space) != 1:
-            a = int(rng.integers(1, space))
-        b = int(rng.integers(0, space))
-    for start in range(0, space, _BLOCK):
-        block = (a * np.arange(start, min(start + _BLOCK, space), dtype=np.int64) + b) % space
-        ok = valid(block)
-        if ok.any():
-            yield block[ok]
+    rows = source._cover_digits(_relation_generators(source))  # (#gens, g) ring coefficients
+    what = f"hom search {source.label} -> {target.label}: candidate space"
+    return solution_blocks(target, rows, cfg or DEFAULTS, what, rng)
+
+
+def hom_enumerate(
+    source: FiniteModule, target: FiniteModule, cfg: EngineConfig | None = None
+) -> list[ModuleHom]:
+    """All module maps source -> target, ordered by generator-image tuples."""
+    return [
+        hom_from_images(source, target, _images_of(int(w), source.num_generators, target.size))
+        for block in hom_candidate_blocks(source, target, cfg)
+        for w in block
+    ]
 
 
 def find_bijective_hom(

@@ -10,16 +10,12 @@ from importlib import resources
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
-from .errors import ConsistencyError, SizeCapError
+from .errors import ConsistencyError
 from .ideals import ideal_generated
-from .modules import FiniteModule, regular_module
+from .modules import FiniteModule, regular_module, solution_blocks
 from .rings import FiniteRing
 from .subgroup import span
 from .verdict import Verdict
-
-# Witness tuples evaluated per block: the int64 temporaries of a block (128 KB
-# each) are reused from the heap instead of being mapped and faulted afresh.
-_WITNESS_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -77,27 +73,14 @@ def scalar_formula(ring: FiniteRing, free: int, bound: int, int_rows, name: str 
 
 
 def _solution_mask(module: FiniteModule, phi: PPFormula, cfg: EngineConfig) -> np.ndarray:
-    """Mask over M^free marking tuples with a witness assignment."""
+    """Mask over M^free marking tuples with a witness assignment: the
+    solutions in M^(free+bound), projected onto their free coordinates."""
     phi.validate_for(module.ring)
-    m = module.size
-    p, q = phi.free, phi.bound
-    space = m ** (p + q)
-    if space > cfg.max_homs:
-        raise SizeCapError(
-            f"pp evaluation on {module.label}: witness space {space} above cap {cfg.max_homs}"
-        )
-    x_space = m**p
-    mask = np.zeros(x_space, dtype=bool)
-    for start in range(0, space, _WITNESS_BLOCK):
-        w = np.arange(start, min(start + _WITNESS_BLOCK, space), dtype=np.int64)
-        ok = np.ones(len(w), dtype=bool)
-        for row in phi.equations:
-            acc = np.zeros(len(w), dtype=np.int64)
-            for j, coeff in enumerate(row):
-                digit = (w // m**j) % m
-                acc = module.add(acc, module.act_table[int(coeff), digit])
-            ok &= acc == 0
-        mask[w[ok] % x_space] = True
+    rows = np.array(phi.equations, dtype=np.int64).reshape(len(phi.equations), phi.free + phi.bound)
+    blocks = solution_blocks(module, rows, cfg, f"pp evaluation on {module.label}: witness space")
+    mask = np.zeros(module.size**phi.free, dtype=bool)
+    for block in blocks:
+        mask[block % len(mask)] = True
     return mask
 
 

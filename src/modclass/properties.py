@@ -7,7 +7,7 @@ superfluous kernel (Bass 1960; Anderson & Fuller, GTM 13, section 27).  So M
 is projective iff |P(M)| = |M|, and free of rank c iff it is projective with
 a_i = c r_i, where R = (+) P_i^r_i.  Each a_i is read off set sizes, and a
 "yes" carries a section of the free cover R^g -> M checked exactly.
-Krull-Schmidt and the section search stay as independent oracles.
+Krull-Schmidt and an exhaustive section search stay as test oracles.
 
 Flatness scans the relation submodule: a relation sum(r_i m_i) = 0 factors
 through a matrix annihilating r iff the relation lies in the subgroup
@@ -33,8 +33,6 @@ from .modules import (
     ModuleHom,
     _relation_generators,
     free_module,
-    hom_from_images,
-    hom_image_mask,
 )
 from .rings import FiniteRing
 from .subgroup import grow, span
@@ -213,29 +211,6 @@ def _kernel_note(count: _CoverCount, module: FiniteModule) -> str:
         f"not projective: the projective cover, multiplicities {count.multiplicities}, has "
         f"{count.size} elements, so its kernel onto M has {count.size // module.size}"
     )
-
-
-def split_surjection_search(
-    pi: ModuleHom, cfg: EngineConfig | None = None
-) -> ModuleHom | None:
-    """A section s with pi∘s = id, or None when no section exists."""
-    cfg = cfg or DEFAULTS
-    source, target = pi.source, pi.target
-    if len(np.unique(pi.table)) != target.size:
-        raise ValueError("split_surjection_search: map is not surjective")
-    mask = hom_image_mask(target, source, cfg)
-    idx = np.arange(len(mask), dtype=np.int64)
-    for i in range(target.num_generators):
-        yi = (idx // source.size**i) % source.size
-        mask &= pi.table[yi] == target.gens[i]
-    hits = np.nonzero(mask)[0]
-    if len(hits) == 0:
-        return None
-    w = int(hits[0])
-    images = tuple(
-        (w // source.size**i) % source.size for i in range(target.num_generators)
-    )
-    return hom_from_images(target, source, images)
 
 
 @dataclass

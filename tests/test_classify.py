@@ -8,6 +8,7 @@ import pytest
 
 from modclass import (
     ClassificationReport,
+    DEFAULTS,
     ConsistencyError,
     Verdict,
     build_ring,
@@ -166,6 +167,13 @@ class TestMatrixFamily:
         assert certificate.claim("p_not_free").holds
         assert certificate.claim("uncountably_categorical").holds
         assert not certificate.claim("frees_not_elementary").holds
+
+    def test_regular_is_p_power_holds_below_the_hom_cap(self):
+        # No hom search is needed: the isomorphism comes from corner isomorphisms.
+        _, certificate = classify_matrix_family(2, 2, DEFAULTS.with_overrides(max_homs=10))
+        claim = certificate.claim("regular_is_p_power")
+        assert claim.holds and claim.status == "verified"
+        assert claim.witness["explicit_isomorphism_found"] is True
 
     def test_symbolic_n2_realizes_strictness(self):
         report, certificate = classify_matrix_family(2, "infinite")

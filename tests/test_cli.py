@@ -1,10 +1,15 @@
 """Command-line interface: output formats, exit codes, environment overrides."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import modclass
 from modclass import BUILTIN_CORPUS_SPECS
 from modclass.cli import EXIT_CAPS, EXIT_OK, EXIT_SPEC, EXIT_VIOLATIONS, main
 
@@ -112,6 +117,28 @@ class TestCertificate:
     def test_bounds(self, capsys):
         code, _, err = run_cli(capsys, "certificate", "--n", "9", "--field", "infinite")
         assert code == EXIT_SPEC
+
+    def test_p_cubed_is_regular_in_bounded_memory(self):
+        # P^3 = M(3,GF(2)) is read off corner isomorphisms; building P^3 as a
+        # module would fill arrays over its 512^3-element free cover.
+        script = (
+            "import sys\n"
+            "from modclass.cli import main\n"
+            "code = main(['certificate', '--n', '3', '--field', '2'])\n"
+            "print(open('/proc/self/status').read(), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(modclass.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.returncode == EXIT_OK, result.stderr
+        claims = {c["name"]: c for c in json.loads(result.stdout)["claims"]}
+        assert claims["regular_is_p_power"]["holds"]
+        assert claims["regular_is_p_power"]["witness"]["explicit_isomorphism_found"] is True
+        # VmHWM is this process's own peak RSS, in kB; ru_maxrss would also
+        # count the pages of the forking test process.
+        peak_kb = int(re.search(r"^VmHWM:\s+(\d+) kB", result.stderr, re.M).group(1))
+        assert peak_kb < 100 * 1024
 
 
 class TestOtherCommands:

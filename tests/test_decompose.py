@@ -26,7 +26,7 @@ from modclass import (
     submodule_as_module,
 )
 from modclass.decompose import _find_splitting_idempotent
-from modclass.modules import _images_of, hom_from_images, hom_image_mask
+from modclass.modules import _images_of, hom_candidate_blocks, hom_from_images
 
 
 class TestIdempotents:
@@ -197,16 +197,18 @@ class TestKrullSchmidt:
 
 
 def per_tuple_splitting_idempotent(module):
-    """Reference search: valid image tuples in ascending candidate order, each
-    tested for idempotence on the table of the map it defines."""
+    """Reference search: valid image tuples in ascending candidate order (the
+    unseeded blocks), each tested for idempotence on the table of the map it
+    defines."""
     g = module.num_generators
-    for w in np.flatnonzero(hom_image_mask(module, module)):
-        images = _images_of(int(w), g, module.size)
-        if images in ((0,) * g, module.gens):
-            continue
-        table = hom_from_images(module, module, images).table
-        if all(table[y] == y for y in images):
-            return images
+    for block in hom_candidate_blocks(module, module):
+        for w in block:
+            images = _images_of(int(w), g, module.size)
+            if images in ((0,) * g, module.gens):
+                continue
+            table = hom_from_images(module, module, images).table
+            if all(table[y] == y for y in images):
+                return images
     return None
 
 

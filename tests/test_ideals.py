@@ -18,7 +18,6 @@ from modclass import (
     is_simple_ring,
     jacobson_radical,
     matrix_units,
-    maximal_ideals,
     one_sided_ideals,
     quotient_ring,
     radical_nilpotency_degree,
@@ -26,6 +25,12 @@ from modclass import (
     regular_module,
     units,
 )
+
+
+def maximal_ideals(ring, side):
+    """Maximal proper ideals of the given side, from the full lattice."""
+    proper = [i for i in one_sided_ideals(ring, side) if len(i) < ring.size]
+    return [i for i in proper if not any(len(j) > len(i) and set(i) < set(j) for j in proper)]
 
 
 def e12_of_t2f2():

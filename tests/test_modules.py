@@ -17,6 +17,7 @@ from modclass import (
     hom_enumerate,
     identity_hom,
     is_isomorphic,
+    primitive_decomposition,
     quotient_module,
     regular_module,
     submodule_as_module,
@@ -142,6 +143,16 @@ class TestDirectSum:
         total = direct_sum(reg, reg)
         assert total.size == 36
         assert verify_module_axioms(total)
+
+    def test_free_cover_above_the_cap_is_refused(self, m2f2):
+        # |P| = 4 over a 16-element ring: P^3 has 64 elements but a free
+        # cover of 16^3, above max(max_module, max_homs) = 1024.
+        p = primitive_decomposition(m2f2).representatives[0]
+        cfg = EngineConfig(max_module=1024, max_homs=1024)
+        total = p
+        with pytest.raises(SizeCapError, match="free cover 4096 above cap"):
+            for _ in range(4):
+                total = direct_sum(total, p, cfg)
 
     def test_ring_mismatch(self, z4, z6):
         with pytest.raises(ValueError):

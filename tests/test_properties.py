@@ -28,11 +28,27 @@ from modclass import (
     random_recipe_rings,
     regular_module,
     ring_from_tables,
-    split_surjection_search,
     submodule_as_module,
     zero_module,
 )
 from modclass import properties
+from modclass.modules import _images_of, hom_candidate_blocks, hom_from_images
+
+
+def split_surjection_search(pi):
+    """A section s with pi∘s = id, or None when none exists: the first map
+    target -> source, in ascending candidate order, that sends each generator
+    of the target to a preimage of itself."""
+    source, target = pi.source, pi.target
+    if len(np.unique(pi.table)) != target.size:
+        raise ValueError("split_surjection_search: map is not surjective")
+    g = target.num_generators
+    for block in hom_candidate_blocks(target, source):
+        for i, gen in enumerate(target.gens):
+            block = block[pi.table[(block // source.size**i) % source.size] == gen]
+        if len(block):
+            return hom_from_images(target, source, _images_of(int(block[0]), g, source.size))
+    return None
 
 
 def flat_by_definition(module, n_max=2, l_max=2):
