@@ -35,7 +35,7 @@ from .modules import (
     regular_module,
 )
 from .pp import baur_monk_invariant, library_pairs
-from .properties import _ring_structure, is_flat_module
+from .properties import is_flat_module
 from .rings import FiniteRing
 
 # Frozen corpus; reports and tables are emitted in exactly this order.
@@ -220,9 +220,8 @@ def flat_projective_suite(
     nonflat = 0
     for ring in rings:
         family = generated_module_family(ring, cfg)
-        structure = _ring_structure(ring, cfg) if family else None
         for module in family:
-            report = is_flat_module(module, cfg=cfg, _structure=structure)
+            report = is_flat_module(module, cfg=cfg)
             checked += 1
             if not report.value:
                 nonflat += 1

@@ -6,6 +6,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
+from math import prod
+from typing import Sequence
 
 import numpy as np
 
@@ -78,10 +80,11 @@ def corner_isomorphism(ring: FiniteRing, e: int, f: int) -> tuple[int, int] | No
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdempotentDecomposition:
     """A complete orthogonal set of primitive idempotents, grouped by the
-    isomorphism class of the left ideals they generate."""
+    isomorphism class of the left ideals they generate.  Frozen: the
+    unseeded decomposition is shared by every caller over the ring."""
 
     ring: FiniteRing
     idempotents: tuple[int, ...]
@@ -96,6 +99,10 @@ class IdempotentDecomposition:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(p.size for p in self.representatives)
+
+    def sum_size(self, multiplicities: Sequence[int]) -> int:
+        """|(+) P_i^a_i| for the given multiplicities a_i."""
+        return prod(p**a for p, a in zip(self.sizes, multiplicities))
 
     def check(self) -> None:
         ring = self.ring
@@ -112,9 +119,7 @@ class IdempotentDecomposition:
             for j, f in enumerate(es):
                 if i != j and (int(mul[e, f]) != 0 or int(mul[f, e]) != 0):
                     raise ConsistencyError(f"{ring.label}: idempotents {e},{f} not orthogonal")
-        product = 1
-        for p, r in zip(self.sizes, self.multiplicities):
-            product *= p**r
+        product = self.sum_size(self.multiplicities)
         if product != ring.size:
             raise ConsistencyError(
                 f"{ring.label}: product of |P_i|^r_i = {product} != |R| = {ring.size}"
@@ -144,8 +149,24 @@ def primitive_decomposition(
     the corner eRe; the count strictly increases, so refinement terminates.
     The search order is ascending by element index unless an rng is supplied
     (the randomized mode exists for the order-invariance property test).
+
+    The unseeded result depends only on the ring's tables, so it is computed
+    once and kept on the ring; a seeded call neither reads nor writes it.  A
+    kept decomposition with a P_i above ``cfg.max_module`` is not returned:
+    the computation runs again and raises the cap error.
     """
     cfg = cfg or DEFAULTS
+    if rng is not None:
+        return _decompose(ring, cfg, rng)
+    kept = ring._decomposition
+    if kept is None or max(kept.sizes, default=0) > cfg.max_module:
+        kept = ring._decomposition = _decompose(ring, cfg, None)
+    return kept
+
+
+def _decompose(
+    ring: FiniteRing, cfg: EngineConfig, rng: np.random.Generator | None
+) -> IdempotentDecomposition:
     ring.require_tables("primitive_decomposition")
     if ring.size == 1:
         return IdempotentDecomposition(ring, (), (), (), ())

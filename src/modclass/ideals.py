@@ -89,8 +89,15 @@ def one_sided_ideals(
 def jacobson_radical(ring: FiniteRing, cfg: EngineConfig | None = None) -> Ideal:
     """J = {x : R*x is nil}, the largest nil left ideal of a finite ring,
     verified two-sided and nilpotent.  x is nilpotent iff x^(2^s) = 0 once
-    2^s >= |R|, which s squarings of the table's diagonal decide.
+    2^s >= |R|, which s squarings of the table's diagonal decide.  J depends
+    only on the ring's tables: it is computed once and kept on the ring.
     """
+    if ring._radical is None:
+        ring._radical = _radical(ring)
+    return ring._radical
+
+
+def _radical(ring: FiniteRing) -> Ideal:
     ring.require_tables("jacobson_radical")
     mul = ring.mul_table
     powers = np.arange(ring.size)

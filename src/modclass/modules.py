@@ -5,9 +5,11 @@ Elements of the free cover R^g are single integers with base-|R| digits as
 coordinates.  Every carrier comes from one additive map phi on the free cover
 whose kernel is K: the classes of phi are labeled 0..m-1 in order of their
 least cover index, so representatives are deterministic.  The action table
-is the doubling fill of the action of R's additive generators, the one that
-also builds ring tables, and :func:`verify_module_axioms` is exact at every
-size: additivity reduces the module laws to checks on generators.
+is gathered off the free cover, r x = phi(r rep(x)).
+:func:`verify_module_axioms` checks it against the doubling fill of the
+action of R's additive generators, the one that also builds ring tables, and
+is exact at every size: additivity reduces the module laws to checks on
+generators.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .rings import FiniteRing, _add_rows, _fill
 from .subgroup import generators, lattice, span
 
 _MODULE_ADD_TABLE_LIMIT = 2048
-# Entries per block of rows of the addition table.
+# Entries per block of rows of the addition and action tables.
 _BLOCK = 1 << 16
 # Tuples evaluated per block by ``solution_blocks``: the int64 temporaries of a
 # block (128 KB each) are reused from the heap instead of being mapped and
@@ -90,20 +92,24 @@ class FiniteModule:
 
     @property
     def act_table(self) -> np.ndarray:
-        """(|R|, size) table of the left action on carrier elements.
+        """(|R|, size) int32 table of the left action on carrier elements.
 
-        Row r is the sum of r_i (e_i x) over R's additive generators e_i, filled
-        by doubling (``rings._fill``); only the generator rows e_i x are read
-        off the free cover.  The regular module (one generator, no relations,
-        so ``cls`` is the identity) copies the ring's multiplication table.
+        Entry (r, x) is the class of r·rep[x] in the free cover, one gather
+        per row block of at most ``_BLOCK`` entries; no addition table is
+        needed.  The regular module (one generator, no relations, so ``cls``
+        is the identity) copies the ring's multiplication table.
         """
         if self._act_table is None:
             ring = self.ring
             if self.num_generators == 1 and len(self.relations) == 1:
                 self._act_table = ring.mul_table.copy()
             else:
-                gen_rows = self.cls[self.cover_act(ring._gens[:, None, None], self.rep)]
-                self._act_table = _fill(ring, np.zeros(self.size, dtype=np.int32), gen_rows, self._add_op())
+                table = np.empty((ring.size, self.size), dtype=np.int32)
+                step = max(1, _BLOCK // self.size)
+                for start in range(0, ring.size, step):
+                    rows = np.arange(start, min(start + step, ring.size))
+                    table[start : start + step] = self.cls[self.cover_act(rows[:, None, None], self.rep)]
+                self._act_table = table
         return self._act_table
 
     @property

@@ -188,24 +188,19 @@ def baur_monk_invariant(
 # -- frozen formula library -------------------------------------------------------
 
 
-def _library_data() -> dict:
-    with resources.files("modclass.data").joinpath("pp_library.json").open("r") as fh:
-        return json.load(fh)
+# Immutable package data, parsed once at import.
+_LIBRARY = json.loads(resources.files("modclass.data").joinpath("pp_library.json").read_text())
 
 
 def library_formulas(ring: FiniteRing) -> dict[str, PPFormula]:
     """The frozen scalar-coefficient formulas, instantiated over a ring."""
-    data = _library_data()
-    out = {}
-    for entry in data["formulas"]:
-        out[entry["name"]] = scalar_formula(
-            ring, entry["free"], entry["bound"], entry["eqs"], name=entry["name"]
-        )
-    return out
+    return {
+        e["name"]: scalar_formula(ring, e["free"], e["bound"], e["eqs"], name=e["name"])
+        for e in _LIBRARY["formulas"]
+    }
 
 
 def library_pairs(ring: FiniteRing) -> list[tuple[PPFormula, PPFormula]]:
     """The frozen (phi, psi) pairs used by the multiplicativity property."""
-    data = _library_data()
     formulas = library_formulas(ring)
-    return [(formulas[a], formulas[b]) for a, b in data["pairs"]]
+    return [(formulas[a], formulas[b]) for a, b in _LIBRARY["pairs"]]

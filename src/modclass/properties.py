@@ -20,21 +20,19 @@ relation's support fits the configured length bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SizeCapError
 from .decompose import IdempotentDecomposition, _corner, primitive_decomposition
-from .ideals import Ideal, jacobson_radical
+from .ideals import jacobson_radical
 from .modules import (
     FiniteModule,
     ModuleHom,
     _relation_generators,
     free_module,
 )
-from .rings import FiniteRing
 from .subgroup import grow, span
 from .verdict import Verdict
 
@@ -51,26 +49,10 @@ class _CoverCount:
 
     @property
     def size(self) -> int:
-        return prod(p**a for p, a in zip(self.decomposition.sizes, self.multiplicities))
+        return self.decomposition.sum_size(self.multiplicities)
 
 
-# R's primitive decomposition and its radical J: what every cover count over R shares.
-_RingStructure = tuple[IdempotentDecomposition, Ideal]
-
-
-def _ring_structure(ring: FiniteRing, cfg: EngineConfig) -> _RingStructure:
-    """R's primitive decomposition, checked to cover R, and its radical J."""
-    decomposition = primitive_decomposition(ring, cfg)
-    if prod(p**r for p, r in zip(decomposition.sizes, decomposition.multiplicities)) != ring.size:
-        raise ConsistencyError(f"{ring.label}: primitive classes do not cover the regular module")
-    return decomposition, jacobson_radical(ring, cfg)
-
-
-def _cover_count(
-    module: FiniteModule,
-    cfg: EngineConfig,
-    structure: _RingStructure | None = None,
-) -> _CoverCount:
+def _cover_count(module: FiniteModule, cfg: EngineConfig) -> _CoverCount:
     """Count the a_i of M/JM = (+) S_i^a_i.
 
     e_i(M/JM) = (e_iM + JM) / JM is a vector space of dimension a_i over the
@@ -78,11 +60,13 @@ def _cover_count(
     JM is spanned by J's additive generators acting on M's generators, and
     e_iM by e_i times R's additive generators acting on them.  Counts that
     contradict the theory raise ConsistencyError rather than give a verdict.
-    ``structure`` is ``_ring_structure(module.ring, cfg)``, computed here
-    unless a caller looping over one ring's modules passes it in.
+    R's decomposition and J are computed once per ring and kept on it.
     """
     ring = module.ring
-    decomposition, radical = structure or _ring_structure(ring, cfg)
+    decomposition = primitive_decomposition(ring, cfg)
+    if decomposition.sum_size(decomposition.multiplicities) != ring.size:
+        raise ConsistencyError(f"{ring.label}: primitive classes do not cover the regular module")
+    radical = jacobson_radical(ring, cfg)
     in_radical = np.zeros(ring.size, dtype=bool)
     in_radical[list(radical.elements)] = True
     act, gens = module.act_table, np.array(module.gens)
@@ -184,9 +168,7 @@ def is_free_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Ver
     return Verdict(True, witness=c, note=f"isomorphic to R^{c}")
 
 
-def is_projective_module(
-    module: FiniteModule, cfg: EngineConfig | None = None, _structure: _RingStructure | None = None
-) -> Verdict:
+def is_projective_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Verdict:
     """Projective iff |M| equals the size of its projective cover.
 
     A "yes" carries an exactly checked section of the canonical surjection
@@ -195,7 +177,7 @@ def is_projective_module(
     cfg = cfg or DEFAULTS
     if module.size == 1:
         return Verdict(True, note="zero module is projective")
-    count = _cover_count(module, cfg, _structure)
+    count = _cover_count(module, cfg)
     if count.size != module.size:
         return Verdict(False, witness=count.size // module.size, note=_kernel_note(count, module))
     return Verdict(
@@ -241,7 +223,6 @@ def is_flat_module(
     relation_length_bound: int | None = None,
     cfg: EngineConfig | None = None,
     cross_check: bool = True,
-    _structure: _RingStructure | None = None,
 ) -> FlatnessReport:
     """Scan relations of support up to the bound for factorization failures.
 
@@ -262,7 +243,7 @@ def is_flat_module(
     report = FlatnessReport(value=True, exact=True, bound=bound, checked_relations=0)
     if module.size == 1 or len(relations) == 1:
         report.note = "zero module" if module.size == 1 else "free presentation"
-        _attach_projectivity(module, report, cfg, cross_check, _structure)
+        _attach_projectivity(module, report, cfg, cross_check)
         return report
 
     k_gens = _relation_generators(module)
@@ -304,7 +285,7 @@ def is_flat_module(
         orbit = module._cover_encode(orbit_digits)
         verified[orbit] = True
 
-    _attach_projectivity(module, report, cfg, cross_check, _structure)
+    _attach_projectivity(module, report, cfg, cross_check)
     return report
 
 
@@ -313,12 +294,11 @@ def _attach_projectivity(
     report: FlatnessReport,
     cfg: EngineConfig,
     cross_check: bool,
-    structure: _RingStructure | None,
 ) -> None:
     if not cross_check:
         return
     try:
-        projective = bool(is_projective_module(module, cfg, structure))
+        projective = bool(is_projective_module(module, cfg))
     except SizeCapError:
         report.note = (report.note + "; projectivity check exceeded caps").strip("; ")
         return

@@ -73,6 +73,8 @@ class FiniteRing:
         self._neg_table: np.ndarray | None = None
         self._units: frozenset[int] | None = None
         self._registry = None  # set by decompose.get_registry
+        self._decomposition = None  # set by decompose.primitive_decomposition
+        self._radical = None  # set by ideals.jacobson_radical
 
     # -- encoding ----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Idempotent and Krull-Schmidt decompositions."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -8,16 +9,21 @@ import pytest
 
 from modclass import (
     DEFAULTS,
+    SizeCapError,
     build_ring,
     central_primitive_idempotents,
+    classify_ring,
+    corpus_test_modules,
     corner_isomorphism,
     cyclic_submodule,
     direct_sum,
     free_module,
     get_registry,
     idempotents,
+    is_flat_module,
     is_free_module,
     is_isomorphic,
+    is_projective_module,
     krull_schmidt,
     primitive_decomposition,
     quotient_module,
@@ -25,6 +31,7 @@ from modclass import (
     regular_module,
     submodule_as_module,
 )
+from modclass import decompose, ideals
 from modclass.decompose import _find_splitting_idempotent
 from modclass.modules import _images_of, hom_candidate_blocks, hom_from_images
 
@@ -151,6 +158,62 @@ class TestPrimitiveDecomposition:
                 seeded = primitive_decomposition(ring, rng=np.random.default_rng(seed))
                 assert seeded.sizes == base.sizes, spec
                 assert seeded.multiplicities == base.multiplicities, spec
+
+
+class TestRingStructureKeptOnRing:
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Labels of the rings whose decomposition and radical are computed
+        rather than read back."""
+        calls = {"decomposition": [], "radical": []}
+        decompose_, radical_ = decompose._decompose, ideals._radical
+
+        def counted_decompose(ring, cfg, rng):
+            calls["decomposition"].append(ring.label)
+            return decompose_(ring, cfg, rng)
+
+        def counted_radical(ring):
+            calls["radical"].append(ring.label)
+            return radical_(ring)
+
+        monkeypatch.setattr(decompose, "_decompose", counted_decompose)
+        monkeypatch.setattr(ideals, "_radical", counted_radical)
+        return calls
+
+    def test_one_computation_per_ring_across_verdicts(self, computed):
+        ring = build_ring("GF(2) x M(2,GF(2))")
+        classify_ring(ring)
+        modules = corpus_test_modules(ring)  # |R| = 32: the P_i, read off the decomposition
+        module = modules[0]
+        assert not is_free_module(module).value
+        assert is_projective_module(module).value
+        assert is_flat_module(module).value
+        assert computed == {"decomposition": [ring.label], "radical": [ring.label]}
+
+    def test_seeded_call_recomputes_without_touching_the_kept_one(self, computed):
+        ring = build_ring("GF(2) x GF(3) x Z/4")  # commutative: the primitive idempotents are unique
+        kept = primitive_decomposition(ring)
+        seeded = primitive_decomposition(ring, rng=np.random.default_rng(7))
+        assert seeded is not kept
+        fields = ("idempotents", "classes", "multiplicities", "sizes")
+        assert [getattr(seeded, f) for f in fields] == [getattr(kept, f) for f in fields]
+        for p, q in zip(seeded.representatives, kept.representatives):
+            assert np.array_equal(p.act_table, q.act_table)
+        assert primitive_decomposition(ring) is kept
+        assert len(computed["decomposition"]) == 2
+
+    def test_cap_below_a_kept_p_i_still_raises(self, m2f2):
+        primitive_decomposition(m2f2)
+        with pytest.raises(SizeCapError) as raised:
+            primitive_decomposition(m2f2, DEFAULTS.with_overrides(max_module=3))
+        assert str(raised.value) == "P1(M(2,GF(2))): module size 4 above cap 3"
+        assert primitive_decomposition(m2f2).sizes == (4,)
+
+    def test_kept_decomposition_is_frozen(self, z6):
+        decomposition = primitive_decomposition(z6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decomposition.multiplicities = (2,)
+        assert decomposition.multiplicities == (1, 1)
 
 
 class TestKrullSchmidt:

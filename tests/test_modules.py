@@ -11,14 +11,18 @@ from modclass import (
     SizeCapError,
     all_submodules,
     build_ring,
+    builtin_corpus,
+    corpus_test_modules,
     cyclic_submodule,
     direct_sum,
     free_module,
+    generated_module_family,
     hom_enumerate,
     identity_hom,
     is_isomorphic,
     primitive_decomposition,
     quotient_module,
+    random_recipe_rings,
     regular_module,
     submodule_as_module,
     verify_module_axioms,
@@ -28,6 +32,7 @@ from modclass import (
     submodule_generated,
 )
 from modclass.modules import is_submodule
+from modclass.rings import _fill
 from modclass.subgroup import span
 
 
@@ -124,7 +129,7 @@ class TestActTable:
             regular_module(build_ring("Z/1000")),
             # Two generators, 16 rows a block: 2 full blocks, then 13 rows.
             free_module(build_ring("Z/45"), 2),
-            # 4096 elements: filled without an addition table.
+            # 4096 elements: no addition table.
             free_module(build_ring("Z/64"), 2),
         ]
         for module in modules:
@@ -135,6 +140,31 @@ class TestActTable:
                 rep = module.rep
                 sums = module.cls[module.cover_add(rep[:, None], rep[None, :])]
                 assert np.array_equal(module.add_table, sums), module.label
+
+
+def doubling_fill_act_table(module):
+    """Reference action table: the doubling fill of the generator rows e_i x
+    by module addition (``rings._fill``), independent of the gather."""
+    ring = module.ring
+    gen_rows = module.cls[module.cover_act(ring._gens[:, None, None], module.rep)]
+    return _fill(ring, np.zeros(module.size, dtype=np.int32), gen_rows, module._add_op())
+
+
+class TestActTableOracle:
+    def test_gather_matches_doubling_fill(self):
+        rings = builtin_corpus()
+        modules = [m for ring in rings for m in generated_module_family(ring)]
+        modules += [m for ring in rings + random_recipe_rings(40, seed=5) for m in corpus_test_modules(ring)]
+        z64 = free_module(build_ring("Z/64"), 2)
+        modules += [
+            # Several row blocks each, the last one short for Z/45.
+            free_module(build_ring("Z/45"), 2),
+            quotient_module(z64, cyclic_submodule(z64, 32)),
+        ]
+        for module in modules:
+            table = module.act_table
+            assert table.dtype == np.int32 and table.shape == (module.ring.size, module.size), module.label
+            assert np.array_equal(table, doubling_fill_act_table(module)), module.label
 
 
 class TestDirectSum:
