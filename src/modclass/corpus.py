@@ -253,20 +253,15 @@ def multiplicativity_suite(
     for ring in rings:
         mods = corpus_test_modules(ring, cfg)
         pairs = library_pairs(ring)
-        cache: dict[tuple[int, str, str], int] = {}
-
-        def index_of(module, phi, psi, mid):
-            key = (mid, phi.name, psi.name)
-            if key not in cache:
-                cache[key] = baur_monk_invariant(module, phi, psi, cfg).index
-            return cache[key]
-
-        for i, a in enumerate(mods):
-            for j, b in enumerate(mods):
+        for a in mods:
+            for b in mods:
                 summed = direct_sum(a, b, cfg)
                 for phi, psi in pairs:
                     left = baur_monk_invariant(summed, phi, psi, cfg).index
-                    right = index_of(a, phi, psi, i) * index_of(b, phi, psi, j)
+                    right = (
+                        baur_monk_invariant(a, phi, psi, cfg).index
+                        * baur_monk_invariant(b, phi, psi, cfg).index
+                    )
                     checked += 1
                     if left != right:
                         findings.append(

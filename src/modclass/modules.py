@@ -67,6 +67,7 @@ class FiniteModule:
         self._act_table: np.ndarray | None = None
         self._add_table: np.ndarray | None = None
         self._relation_gens: np.ndarray | None = None  # set by _relation_generators
+        self._pp_masks: dict = {}  # filled by pp._solution_mask
 
     # -- free-cover arithmetic (indices with base-|R| digits) -------------------
 

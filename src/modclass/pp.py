@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
-from .errors import ConsistencyError
+from .errors import ConsistencyError, SizeCapError
 from .ideals import ideal_generated
 from .modules import FiniteModule, regular_module, solution_blocks
 from .rings import FiniteRing
@@ -64,24 +64,109 @@ class PPFormula:
             raise ValueError(f"pp formula JSON missing key {exc}") from exc
 
 
+def _scalar_systems(ring: FiniteRing, systems) -> list[tuple[tuple[int, ...], ...]]:
+    """Integer coefficient rows instantiated as k·1, every distinct k of all
+    the systems from one vectorised encode."""
+    ks = sorted({int(k) for rows in systems for row in rows for k in row})
+    values = ring.encode(np.array(ks, dtype=np.int64)[:, None] * ring.decode(ring.one))
+    scalar = dict(zip(ks, values.tolist()))
+    return [tuple(tuple(scalar[int(k)] for k in row) for row in rows) for rows in systems]
+
+
 def scalar_formula(ring: FiniteRing, free: int, bound: int, int_rows, name: str = "") -> PPFormula:
     """Instantiate integer coefficients as additive multiples of the identity."""
-    rows = tuple(
-        tuple(int(ring.scalar_mul(int(k), ring.one)) for k in row) for row in int_rows
+    (equations,) = _scalar_systems(ring, [int_rows])
+    return PPFormula(free=free, bound=bound, equations=equations, name=name)
+
+
+@dataclass
+class _Residual:
+    """A formula's system after unit-pivot elimination, over the w variables
+    left: ``rows`` (k, w) still to be solved, and ``outputs`` (free, w)
+    expressing each free variable in them.  ``mask`` is set once computed."""
+
+    rows: np.ndarray
+    outputs: np.ndarray
+    mask: np.ndarray | None = None
+
+
+def _eliminate(ring: FiniteRing, phi: PPFormula) -> _Residual:
+    """Solve unit pivots out of phi's system, bound variables first.
+
+    A row u·v + sum_k c_k·v_k = 0 with u a unit gives v = sum_k (-u⁻¹c_k)·v_k;
+    substituted into the other rows and into the free variables' expressions,
+    a coefficient d on v becomes d_k + d·(-u⁻¹c_k) (coefficients act on the
+    left), and the row is dropped.  A solved bound variable disappears, since
+    its witness always exists.  The variables left are those the remaining
+    rows or the free variables' expressions mention; a free variable that no
+    pivot solves expresses itself.
+    """
+    n = phi.free + phi.bound
+    one, mul, add = ring.one, ring.mul_table, ring.add_table
+    rows = [list(row) for row in phi.equations]
+    outputs = [[one if k == j else 0 for k in range(n)] for j in range(phi.free)]
+    order = list(range(phi.free, n)) + list(range(phi.free))
+    inverses: dict[int, int | None] = {0: None}
+
+    def inverse(c: int) -> int | None:
+        # In a finite ring a one-sided inverse is two-sided.  Zero is never
+        # a pivot, not even in the zero ring, where no variable is left.
+        if c not in inverses:
+            j = int(np.argmax(mul[c] == one))
+            inverses[c] = j if mul[c, j] == one else None
+        return inverses[c]
+
+    while True:
+        pivot = next(
+            ((i, v) for v in order for i, row in enumerate(rows) if inverse(row[v]) is not None), None
+        )
+        if pivot is None:
+            break
+        i, v = pivot
+        row = rows.pop(i)
+        minus_inverse = ring.neg(inverse(row[v]))
+        solved = [0 if k == v else int(mul[minus_inverse, c]) for k, c in enumerate(row)]
+        for target in rows + outputs:
+            d, target[v] = target[v], 0
+            if d:
+                for k, s in enumerate(solved):
+                    if s:
+                        target[k] = int(add[target[k], mul[d, s]])
+    rows = [row for row in rows if any(row)]
+    keep = [k for k in range(n) if any(row[k] for row in rows + outputs)]
+    return _Residual(
+        np.array([[row[k] for k in keep] for row in rows], dtype=np.int64).reshape(len(rows), len(keep)),
+        np.array([[out[k] for k in keep] for out in outputs], dtype=np.int64).reshape(phi.free, len(keep)),
     )
-    return PPFormula(free=free, bound=bound, equations=rows, name=name)
 
 
 def _solution_mask(module: FiniteModule, phi: PPFormula, cfg: EngineConfig) -> np.ndarray:
-    """Mask over M^free marking tuples with a witness assignment: the
-    solutions in M^(free+bound), projected onto their free coordinates."""
-    phi.validate_for(module.ring)
-    rows = np.array(phi.equations, dtype=np.int64).reshape(len(phi.equations), phi.free + phi.bound)
-    blocks = solution_blocks(module, rows, cfg, f"pp evaluation on {module.label}: witness space")
-    mask = np.zeros(module.size**phi.free, dtype=bool)
-    for block in blocks:
-        mask[block % len(mask)] = True
-    return mask
+    """Read-only mask over M^free marking tuples with a witness assignment.
+
+    Unit pivots are eliminated first (:func:`_eliminate`); ``solution_blocks``
+    enumerates the residual system alone, and each residual solution gives
+    its free coordinates through ``FiniteModule.combine``.  The mask is kept
+    on the module, keyed by the formula's system; the residual space is
+    checked against ``max_homs`` on every call, kept or not.
+    """
+    key = (phi.free, phi.bound, phi.equations)
+    residual = module._pp_masks.get(key)
+    if residual is None:
+        phi.validate_for(module.ring)
+        residual = module._pp_masks[key] = _eliminate(module.ring, phi)
+    m, width = module.size, residual.rows.shape[1]
+    what = f"pp evaluation on {module.label}: residual witness space"
+    if m**width > cfg.max_homs:
+        raise SizeCapError(f"{what} {m**width} above cap {cfg.max_homs}")
+    if residual.mask is None:
+        mask = np.zeros(m**phi.free, dtype=bool)
+        outputs = residual.outputs.tolist()
+        for block in solution_blocks(module, residual.rows, cfg, what):
+            ys = [(block // m**j) % m for j in range(width)]
+            mask[sum(module.combine(out, ys) * m**j for j, out in enumerate(outputs))] = True
+        mask.flags.writeable = False
+        residual.mask = mask
+    return residual.mask
 
 
 def _check_subgroup(module: FiniteModule, mask: np.ndarray, p: int, label: str) -> None:
@@ -104,8 +189,9 @@ def pp_evaluate(
 ) -> np.ndarray:
     """Solution subgroup of M^free, as sorted tuple indices (base |M| digits).
 
-    Witnesses are found by exhaustive enumeration; the result is verified to
-    be an additive subgroup before it is returned.
+    Unit pivots are solved out and the rest is enumerated
+    (:func:`_solution_mask`); the result is verified to be an additive
+    subgroup before it is returned.
     """
     cfg = cfg or DEFAULTS
     mask = _solution_mask(module, phi, cfg)
@@ -137,11 +223,11 @@ def pp_subgroup_is_right_ideal(
             note="solution set escapes under right multiplication",
         )
     gens: list[int] = []
-    span = {0}
+    reached = {0}
     for x in sols:
-        if int(x) not in span:
+        if int(x) not in reached:
             gens.append(int(x))
-            span = set(ideal_generated(ring, "right", gens, cfg).elements)
+            reached = set(ideal_generated(ring, "right", gens, cfg).elements)
     return Verdict(True, witness=tuple(gens), note=f"right ideal with {len(sols)} elements")
 
 
@@ -194,9 +280,11 @@ _LIBRARY = json.loads(resources.files("modclass.data").joinpath("pp_library.json
 
 def library_formulas(ring: FiniteRing) -> dict[str, PPFormula]:
     """The frozen scalar-coefficient formulas, instantiated over a ring."""
+    entries = _LIBRARY["formulas"]
+    systems = _scalar_systems(ring, [e["eqs"] for e in entries])
     return {
-        e["name"]: scalar_formula(ring, e["free"], e["bound"], e["eqs"], name=e["name"])
-        for e in _LIBRARY["formulas"]
+        e["name"]: PPFormula(e["free"], e["bound"], equations, e["name"])
+        for e, equations in zip(entries, systems)
     }
 
 

@@ -1,13 +1,20 @@
 """pp-formula evaluation, definable subgroups, and index invariants."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from modclass import (
+    BUILTIN_CORPUS_SPECS,
+    DEFAULTS,
     ConsistencyError,
     PPFormula,
+    SizeCapError,
     baur_monk_invariant,
     build_ring,
+    corpus_test_modules,
     direct_sum,
     library_formulas,
     library_pairs,
@@ -17,12 +24,33 @@ from modclass import (
     regular_module,
     scalar_formula,
 )
-from modclass.pp import _check_subgroup
+from modclass.modules import solution_blocks
+from modclass.pp import _check_subgroup, _eliminate, _solution_mask
+from modclass.rings import units
 
 
 @pytest.fixture(scope="module")
 def reg_z4(z4):
     return regular_module(z4)
+
+
+def enumerated_mask(module, phi):
+    """Oracle: every tuple of M^(free+bound) scanned, solutions projected
+    onto their free coordinates."""
+    rows = np.array(phi.equations, dtype=np.int64).reshape(len(phi.equations), phi.free + phi.bound)
+    mask = np.zeros(module.size**phi.free, dtype=bool)
+    for block in solution_blocks(module, rows, DEFAULTS, "oracle witness space"):
+        mask[block % len(mask)] = True
+    return mask
+
+
+def sweep_specs():
+    """The ring specs of the module-sweep benchmark workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.SWEEP_SMALL_SPECS + workloads.SWEEP_LARGE_SPECS
 
 
 class TestEvaluate:
@@ -86,6 +114,93 @@ class TestEvaluate:
             _check_subgroup(reg_z4, mask, p, "test")
 
 
+class TestElimination:
+    """Unit-pivot elimination against full enumeration."""
+
+    def assert_matches_oracle(self, module, phi):
+        got = _solution_mask(module, phi, DEFAULTS)
+        assert np.array_equal(got, enumerated_mask(module, phi)), (module.label, phi)
+
+    def test_library_on_sweep_modules(self):
+        for spec in sweep_specs():
+            ring = build_ring(spec)
+            modules = {m.label: m for m in [regular_module(ring)] + corpus_test_modules(ring)}
+            formulas = library_formulas(ring).values()
+            for module in modules.values():
+                for phi in formulas:
+                    self.assert_matches_oracle(module, phi)
+
+    def test_library_on_corpus_modules_and_their_sums(self, corpus):
+        for spec in BUILTIN_CORPUS_SPECS:
+            ring = corpus[spec]
+            mods = corpus_test_modules(ring)
+            sums = [direct_sum(a, b) for a in mods for b in mods]
+            for module in mods + sums:
+                for phi in library_formulas(ring).values():
+                    self.assert_matches_oracle(module, phi)
+
+    @pytest.mark.parametrize("spec", ["M(2,GF(2))", "T(2,GF(2))", "GF(2) x M(2,GF(2))"])
+    def test_random_formulas_with_ring_coefficients(self, corpus, spec):
+        ring = corpus[spec]
+        rng = np.random.default_rng(7)
+        non_units = np.setdiff1d(np.arange(ring.size), sorted(units(ring)))
+        seen = {"no pivot": 0, "free solved": 0, "two free": 0}
+        for module in [regular_module(ring)] + corpus_test_modules(ring):
+            for trial in range(40):
+                free = int(rng.integers(1, 3))
+                bound = int(rng.integers(0, 4 - free))
+                if module.size ** (free + bound) > 2**16:
+                    bound = 0
+                pool = non_units if trial % 4 == 0 else np.arange(ring.size)
+                rows = rng.choice(pool, size=(int(rng.integers(1, 4)), free + bound))
+                phi = PPFormula(free, bound, tuple(map(tuple, rows.tolist())))
+                residual = _eliminate(ring, phi)
+                seen["no pivot"] += residual.rows.shape == rows.shape
+                seen["free solved"] += residual.rows.shape[1] < free
+                seen["two free"] += free == 2
+                self.assert_matches_oracle(module, phi)
+        assert min(seen.values()) > 0, seen
+
+    def test_pivot_free_evaluation_spans_blocks(self):
+        # 2x1 = 2z, 2x2 = 6z over Z/64: no unit coefficient, so all 64^3
+        # witness tuples are scanned, in 16 blocks.
+        ring = build_ring("Z/64")
+        module = regular_module(ring)
+        phi = scalar_formula(ring, 2, 1, [[2, 0, -2], [0, 2, -6]])
+        assert _eliminate(ring, phi).rows.shape == (2, 3)
+        expected = enumerated_mask(module, phi)
+        assert pp_evaluate(module, phi).tolist() == np.flatnonzero(expected).tolist()
+
+    def test_div2_on_z2048_within_cap(self):
+        # The witness space is 2048^2, above the 10^6 cap; the residual is 2048.
+        ring = build_ring("Z/2048")
+        phi = scalar_formula(ring, 1, 1, [[1, -2]], name="div2")
+        assert pp_evaluate(regular_module(ring), phi).tolist() == list(range(0, 2048, 2))
+
+    def test_pivot_free_formula_above_cap_names_residual_space(self):
+        ring = build_ring("Z/2048")
+        phi = scalar_formula(ring, 1, 1, [[2, -4]])
+        with pytest.raises(SizeCapError, match="residual witness space 4194304 above cap 1000000"):
+            pp_evaluate(regular_module(ring), phi)
+
+    def test_kept_mask_still_checks_cap(self):
+        ring = build_ring("Z/16")
+        module = regular_module(ring)
+        phi = scalar_formula(ring, 1, 1, [[2, -4]])
+        assert pp_evaluate(module, phi).tolist() == list(range(0, 16, 2))
+        with pytest.raises(SizeCapError, match="residual witness space 256 above cap 100"):
+            pp_evaluate(module, phi, DEFAULTS.with_overrides(max_homs=100))
+
+    def test_masks_kept_per_module_and_read_only(self, z4):
+        module = regular_module(z4)
+        phi = scalar_formula(z4, 1, 1, [[1, -2]], name="div2")
+        same = scalar_formula(z4, 1, 1, [[1, -2]], name="other name")
+        mask = _solution_mask(module, phi, DEFAULTS)
+        assert _solution_mask(module, same, DEFAULTS) is mask
+        assert not mask.flags.writeable
+        assert _solution_mask(regular_module(z4), phi, DEFAULTS) is not mask
+
+
 class TestRightIdeal:
     def test_div2_on_z4(self, z4):
         phi = scalar_formula(z4, 1, 1, [[1, -2]])
@@ -139,6 +254,19 @@ class TestInvariant:
                             * baur_monk_invariant(b, phi, psi).index
                         )
                         assert left == right, (spec, phi.name, psi.name)
+
+
+class TestLibrary:
+    def test_instantiation_matches_scalar_multiples(self, corpus):
+        for spec in ("Z/4", "Z/6", "GF(4)", "M(2,GF(3))", "GF(2) x M(2,GF(2))"):
+            ring = corpus[spec]
+            for name, phi in library_formulas(ring).items():
+                rows = {"div2": [[1, -2]], "ann6": [[6]], "div3_ann2": [[1, -3], [0, 2]]}.get(name)
+                if rows is None:
+                    continue
+                equations = tuple(tuple(int(ring.scalar_mul(k, ring.one)) for k in row) for row in rows)
+                assert phi == PPFormula(phi.free, phi.bound, equations, name)
+                assert scalar_formula(ring, phi.free, phi.bound, rows, name) == phi
 
 
 class TestSerialization:
