@@ -17,8 +17,9 @@ half = quotient_module(regular_module(z4), [0, 2], label="Z/2 over Z/4")
 report = is_flat_module(half)
 print(half.label, "flat:", report.value,
       "- violating relation r =", report.witness["support_coefficients"])
-print("projective:", report.projective, "(flat and projective agree:",
-      report.agrees_with_projective, ")")
+projective = is_projective_module(half).value
+print("projective:", projective, "(flat and projective agree:",
+      report.value == projective, ")")
 
 # The column module P over M(2,GF(2)) separates projective from free:
 # P is a direct summand of R (projective, flat) but P is not R^c for any c.
@@ -27,7 +28,7 @@ p = primitive_decomposition(m2).representatives[0]
 print("\nP over M(2,GF(2)):")
 print("  free:      ", is_free_module(p).value, "-", is_free_module(p).note)
 print("  projective:", is_projective_module(p).value)
-print("  flat:      ", is_flat_module(p, relation_length_bound=2).value)
+print("  flat:      ", is_flat_module(p).value)
 
 # Projectivity is decided by counting: |P| equals the size of its projective
 # cover.  A "yes" carries a splitting of the canonical surjection R^g -> P,

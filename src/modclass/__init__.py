@@ -2,11 +2,10 @@
 
 Build finite unital rings from a small spec language, compute radicals,
 idempotent and Krull-Schmidt decompositions, decide freeness and projectivity
-from projective-cover counts and flatness by a relation scan checked against
-projectivity, evaluate pp-definable subgroups and their index invariants, and
-classify each ring by which module classes are elementary and whether the
-theory of its infinitely generated free modules is categorical in higher
-powers.
+from projective-cover counts and flatness by Tor_1(R/J, M) = 0, evaluate
+pp-definable subgroups and their index invariants, and classify each ring
+by which module classes are elementary and whether the theory of its
+infinitely generated free modules is categorical in higher powers.
 """
 
 from .config import DEFAULTS, EngineConfig, config_from_env

@@ -15,9 +15,8 @@ class EngineConfig:
     and evaluated from additive-generator products above it; operations that
     need the tables refuse rings above it.  ``ideal_enum_cap`` bounds full
     one-sided ideal lattice enumeration.  ``max_module`` bounds module
-    carriers, ``max_homs`` the candidate space of a homomorphism enumeration,
-    and ``flat_relation_bound`` the default relation length scanned by the
-    flatness check.  Ring axiom checks are exact at every size and take no cap.
+    carriers and ``max_homs`` the candidate space of a homomorphism
+    enumeration.  Ring axiom checks are exact at every size and take no cap.
     """
 
     max_ring: int = 4096
@@ -25,7 +24,6 @@ class EngineConfig:
     ideal_enum_cap: int = 64
     max_module: int = 4096
     max_homs: int = 1_000_000
-    flat_relation_bound: int = 3
 
     def with_overrides(self, **kwargs) -> "EngineConfig":
         return replace(self, **kwargs)

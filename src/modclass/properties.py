@@ -9,12 +9,13 @@ a_i = c r_i, where R = (+) P_i^r_i.  Each a_i is read off set sizes, and a
 "yes" carries a section of the free cover R^g -> M checked exactly.
 Krull-Schmidt and an exhaustive section search stay as test oracles.
 
-Flatness scans the relation submodule: a relation sum(r_i m_i) = 0 factors
-through a matrix annihilating r iff the relation lies in the subgroup
-sum(r_i K) of the free cover, which decides the factorization condition for
-every matrix width at once.  Relations among arbitrary element tuples reduce
-to relations among the generators, so the scan is complete whenever every
-relation's support fits the configured length bound.
+Flatness is decided by Tor.  With M = R^g / K, tensoring with R/J gives
+Tor_1(R/J, M) = (K ∩ J^g) / JK, and M is flat iff it vanishes: every simple
+right module is a summand of R/J and every R/I has a composition series, so
+Tor_1(R/J, M) = 0 gives Tor_1(R/I, M) = 0 for every right ideal I (Lam,
+GTM 189, section 4).  A "no" carries a relation sum(r_i m_i) = 0 on the
+generators that factors through no matrix annihilating r, i.e. one outside
+sum(r_i K).  The scan over every relation stays as a test oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
-from .errors import ConsistencyError, SizeCapError
+from .errors import ConsistencyError
 from .decompose import IdempotentDecomposition, _corner, primitive_decomposition
 from .ideals import jacobson_radical
 from .modules import (
@@ -33,6 +34,7 @@ from .modules import (
     _relation_generators,
     free_module,
 )
+from .rings import FiniteRing
 from .subgroup import grow, span
 from .verdict import Verdict
 
@@ -52,6 +54,15 @@ class _CoverCount:
         return self.decomposition.sum_size(self.multiplicities)
 
 
+def _radical_parts(ring: FiniteRing, cfg: EngineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """J's membership mask over R and its additive generators, read off the
+    radical kept on the ring."""
+    radical = jacobson_radical(ring, cfg)
+    in_radical = np.zeros(ring.size, dtype=bool)
+    in_radical[list(radical.elements)] = True
+    return in_radical, np.array(radical.generators, dtype=np.int64)
+
+
 def _cover_count(module: FiniteModule, cfg: EngineConfig) -> _CoverCount:
     """Count the a_i of M/JM = (+) S_i^a_i.
 
@@ -66,11 +77,8 @@ def _cover_count(module: FiniteModule, cfg: EngineConfig) -> _CoverCount:
     decomposition = primitive_decomposition(ring, cfg)
     if decomposition.sum_size(decomposition.multiplicities) != ring.size:
         raise ConsistencyError(f"{ring.label}: primitive classes do not cover the regular module")
-    radical = jacobson_radical(ring, cfg)
-    in_radical = np.zeros(ring.size, dtype=bool)
-    in_radical[list(radical.elements)] = True
+    in_radical, radical_gens = _radical_parts(ring, cfg)
     act, gens = module.act_table, np.array(module.gens)
-    radical_gens = np.array(radical.generators, dtype=np.int64)
     radical_span = span(module.add, module.size, act[radical_gens[:, None], gens].ravel())
     radical_size = np.count_nonzero(radical_span)
     multiplicities = []
@@ -197,115 +205,76 @@ def _kernel_note(count: _CoverCount, module: FiniteModule) -> str:
 
 @dataclass
 class FlatnessReport:
-    """Outcome of the relation-factorization scan.
-
-    ``value`` is definitive whenever ``exact`` is true (every relation support
-    fit the bound) or a violation was found; otherwise it means "no violation
-    up to the bound".  The projectivity verdict is recorded alongside because
-    the two properties coincide for finite modules over finite rings.
-    """
+    """Outcome of the Tor test.  Every verdict is exact; a "no" carries the
+    first relation, in cover order, that admits no factorization."""
 
     value: bool
-    exact: bool
-    bound: int
-    checked_relations: int
     witness: dict | None = None
-    projective: bool | None = None
-    agrees_with_projective: bool | None = None
     note: str = ""
+
+    @property
+    def exact(self) -> bool:
+        return True
 
     def __bool__(self) -> bool:
         return self.value
 
 
-def is_flat_module(
-    module: FiniteModule,
-    relation_length_bound: int | None = None,
-    cfg: EngineConfig | None = None,
-    cross_check: bool = True,
-) -> FlatnessReport:
-    """Scan relations of support up to the bound for factorization failures.
+def is_flat_module(module: FiniteModule, cfg: EngineConfig | None = None) -> FlatnessReport:
+    """Flat iff Tor_1(R/J, M) = (K ∩ J^g) / JK vanishes, M = R^g / K.
 
-    A relation v (coefficients v_1..v_g on the generators) factors iff
-    v lies in v_1 K + ... + v_g K, K the relation submodule.  Left multiples
-    of a factoring relation factor with the same witnesses, so verified
-    orbits are skipped; distinct relations sharing the same image subgroup
-    share one closure computation.
+    JK is spanned by J's additive generators times K's, and K ∩ J^g is
+    counted over the relations whose every cover digit lies in J.  A relation
+    v in K ∩ J^g outside JK lies outside v_1 K + ... + v_g K ⊆ JK, so a
+    non-flat M always has a witness: the first non-factoring relation.
     """
     cfg = cfg or DEFAULTS
-    bound = relation_length_bound if relation_length_bound is not None else cfg.flat_relation_bound
-    if bound < 1:
-        raise ValueError(f"relation length bound must be >= 1, got {bound}")
-    ring = module.ring
     relations = module.relations
-    g = module.num_generators
-
-    report = FlatnessReport(value=True, exact=True, bound=bound, checked_relations=0)
     if module.size == 1 or len(relations) == 1:
-        report.note = "zero module" if module.size == 1 else "free presentation"
-        _attach_projectivity(module, report, cfg, cross_check)
-        return report
-
+        return FlatnessReport(True, note="zero module" if module.size == 1 else "free presentation")
+    in_radical, radical_gens = _radical_parts(module.ring, cfg)
     k_gens = _relation_generators(module)
+    products = module.cover_act(radical_gens[:, None, None], k_gens).ravel()
+    jk = np.count_nonzero(span(module.cover_add, module.cover_size, products))
+    k_in_radical = int(in_radical[module._cover_digits(relations)].all(axis=1).sum())
+    if jk == k_in_radical:
+        return FlatnessReport(True, note=f"Tor_1(R/J, M) = 0: |JK| = |K ∩ J^g| = {jk}")
+    return FlatnessReport(
+        False,
+        witness=_nonfactoring_relation(module, k_gens),
+        note=f"|Tor_1(R/J, M)| = |K ∩ J^g| / |JK| = {k_in_radical // jk}",
+    )
+
+
+def _nonfactoring_relation(module: FiniteModule, k_gens: np.ndarray) -> dict:
+    """The first relation v, in cover order, outside v_1 K + ... + v_g K.
+
+    Left multiples of a factoring relation factor with the same witnesses, so
+    verified orbits are skipped; relations sharing an image subgroup share
+    one span.
+    """
     verified = np.zeros(module.cover_size, dtype=bool)
     memo: dict[tuple[int, ...], np.ndarray] = {}
-    mul = ring.mul_table
-
-    for v in relations:
+    for v in module.relations:
         v = int(v)
         if v == 0 or verified[v]:
             continue
         digits = module._cover_digits(np.int64(v))
-        support = [i for i in range(g) if digits[i]]
-        if len(support) > bound:
-            report.exact = False
-            continue
+        support = [i for i in range(module.num_generators) if digits[i]]
         image_gens: set[int] = set()
         for i in support:
-            acted = module.cover_act(int(digits[i]), k_gens)
-            image_gens.update(int(u) for u in np.atleast_1d(acted))
+            image_gens.update(int(u) for u in module.cover_act(int(digits[i]), k_gens))
         image_gens.discard(0)
         key = tuple(sorted(image_gens))
         image = memo.get(key)
         if image is None:
-            image = span(module.cover_add, module.cover_size, key)
-            memo[key] = image
-        report.checked_relations += 1
+            image = memo[key] = span(module.cover_add, module.cover_size, key)
         if not image[v]:
-            report.value = False
-            report.witness = {
+            return {
                 "coefficients": tuple(int(d) for d in digits),
                 "support_coefficients": tuple(int(digits[i]) for i in support),
                 "generators": tuple(support),
                 "note": "relation among the generator images admits no factorization",
             }
-            break
-        # Every left multiple s*v factors via the same assignments.
-        orbit_digits = mul[:, digits]  # (|R|, g)
-        orbit = module._cover_encode(orbit_digits)
-        verified[orbit] = True
-
-    _attach_projectivity(module, report, cfg, cross_check)
-    return report
-
-
-def _attach_projectivity(
-    module: FiniteModule,
-    report: FlatnessReport,
-    cfg: EngineConfig,
-    cross_check: bool,
-) -> None:
-    if not cross_check:
-        return
-    try:
-        projective = bool(is_projective_module(module, cfg))
-    except SizeCapError:
-        report.note = (report.note + "; projectivity check exceeded caps").strip("; ")
-        return
-    report.projective = projective
-    report.agrees_with_projective = report.value == projective
-    if report.exact and not report.agrees_with_projective:
-        raise ConsistencyError(
-            f"{module.label}: exact flatness {report.value} disagrees with "
-            f"projectivity {projective}"
-        )
+        verified[module._cover_encode(module.ring.mul_table[:, digits])] = True
+    raise ConsistencyError(f"{module.label}: Tor_1(R/J, M) != 0 but every relation factors")

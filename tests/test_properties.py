@@ -29,10 +29,12 @@ from modclass import (
     regular_module,
     ring_from_tables,
     submodule_as_module,
+    submodule_generated,
     zero_module,
 )
 from modclass import properties
-from modclass.modules import _images_of, hom_candidate_blocks, hom_from_images
+from modclass.modules import _images_of, _relation_generators, hom_candidate_blocks, hom_from_images
+from modclass.subgroup import span
 
 
 def split_surjection_search(pi):
@@ -90,6 +92,53 @@ def flat_by_definition(module, n_max=2, l_max=2):
                 if not factors(r_tuple, m_tuple):
                     return False, (r_tuple, m_tuple)
     return True, None
+
+
+def flat_by_relation_scan(module):
+    """Oracle: scan every relation v of M = R^g / K, in cover order, for one
+    outside v_1 K + ... + v_g K, the subgroup through which v factors.
+    Returns (flat, coefficients of the first non-factoring relation or None).
+
+    Left multiples of a factoring relation factor too, so their orbit is
+    skipped; relations with the same image generators share one span.
+    """
+    if module.size == 1 or len(module.relations) == 1:
+        return True, None
+    k_gens = _relation_generators(module)
+    verified = np.zeros(module.cover_size, dtype=bool)
+    memo = {}
+    for v in module.relations:
+        v = int(v)
+        if v == 0 or verified[v]:
+            continue
+        digits = module._cover_digits(np.int64(v))
+        image_gens = set()
+        for d in digits[digits != 0]:
+            image_gens.update(int(u) for u in module.cover_act(int(d), k_gens))
+        image_gens.discard(0)
+        key = tuple(sorted(image_gens))
+        if key not in memo:
+            memo[key] = span(module.cover_add, module.cover_size, key)
+        if not memo[key][v]:
+            return False, tuple(int(d) for d in digits)
+        verified[module._cover_encode(module.ring.mul_table[:, digits])] = True
+    return True, None
+
+
+def random_quotients(ring, rank, count, rng):
+    """Quotients of R^rank by submodules generated by one or two random
+    elements, half of whose coordinates are drawn from J."""
+    free = free_module(ring, rank)
+    radical = np.array(jacobson_radical(ring).elements)
+    out = []
+    for _ in range(count):
+        seeds = []
+        for _ in range(int(rng.integers(1, 3))):
+            pool = radical if rng.random() < 0.5 else np.arange(ring.size)
+            digits = rng.choice(pool, rank)
+            seeds.append(int(free.cls[free._cover_encode(digits)]))
+        out.append(quotient_module(free, submodule_generated(free, seeds)))
+    return out
 
 
 def _ring_sum(ring, values):
@@ -306,19 +355,39 @@ class TestFlatness:
         report = is_flat_module(half)
         assert not report.value and report.exact
         assert report.witness["support_coefficients"] == (2,)
-        assert report.projective is False
-        assert report.agrees_with_projective
+        assert is_projective_module(half).value is False
+
+    def test_support_four_relation_is_not_flat(self, z4):
+        # K = <(2,2,2,2)> lies in J^4 while JK = 0, so Tor_1(R/J, M) = K.
+        free = free_module(z4, 4)
+        relation = int(free.cls[free._cover_encode([2, 2, 2, 2])])
+        report = is_flat_module(quotient_module(free, cyclic_submodule(free, relation)))
+        assert not report.value and report.exact
+        assert report.witness["coefficients"] == (2, 2, 2, 2)
+
+    def test_support_four_relation_with_a_unit_is_flat(self, z4):
+        # (Z/4)^4 / <(1,2,2,2)> is (Z/4)^3: free.
+        free = free_module(z4, 4)
+        relation = int(free.cls[free._cover_encode([1, 2, 2, 2])])
+        module = quotient_module(free, cyclic_submodule(free, relation))
+        report = is_flat_module(module)
+        assert report.value and report.exact and report.witness is None
+        assert is_free_module(module).witness == 3
+        # The witness scan runs only after the Tor test says "no"; on a flat
+        # module every relation factors and the scan refuses to return one.
+        with pytest.raises(ConsistencyError, match="every relation factors"):
+            properties._nonfactoring_relation(module, _relation_generators(module))
 
     def test_free_modules_flat(self, corpus):
         for spec in ("Z/6", "M(2,GF(2))", "Z/8"):
             report = is_flat_module(free_module(corpus[spec], 1))
             assert report.value and report.exact
 
-    def test_column_module_flat_at_bound_two(self, m2f2):
+    def test_column_module_flat(self, m2f2):
         p = primitive_decomposition(m2f2).representatives[0]
-        report = is_flat_module(p, relation_length_bound=2)
+        report = is_flat_module(p)
         assert report.value and report.exact
-        assert report.projective and report.agrees_with_projective
+        assert is_projective_module(p).value
 
     def test_brute_force_oracle_agreement(self, z4, t2f2):
         # Literal existential search over (H, m') against the engine verdict.
@@ -333,16 +402,35 @@ class TestFlatness:
             submodule_as_module(regt, cyclic_submodule(regt, _least_proper(regt)))
         )
         for module in modules:
-            engine = is_flat_module(module, relation_length_bound=2, cross_check=False)
+            engine = is_flat_module(module)
             oracle, witness = flat_by_definition(module, n_max=2, l_max=2)
             assert engine.value == oracle, (module.label, witness)
 
-    def test_bound_one_still_catches_the_z4_witness(self, z4):
-        reg = regular_module(z4)
-        half = quotient_module(reg, [0, 2])
-        report = is_flat_module(half, relation_length_bound=1)
-        assert not report.value
+    def test_relation_scan_agrees_over_generated_families(self, corpus):
+        nonflat = 0
+        for ring in corpus.values():
+            for module in generated_module_family(ring):
+                report = is_flat_module(module)
+                flat, coefficients = flat_by_relation_scan(module)
+                assert report.value == flat, module.label
+                assert (report.witness or {}).get("coefficients") == coefficients, module.label
+                nonflat += not flat
+        assert nonflat == 140
 
+    def test_relation_scan_agrees_on_random_quotients(self, corpus):
+        rng = np.random.default_rng(0)
+        ranks = {"Z/4": (3, 4), "Z/6": (3, 4), "Z/8": (3, 4), "PolyQuot(GF(2),[0,0,1])": (3, 4),
+                 "T(2,GF(2))": (3, 4), "Z/12": (3,), "M(2,GF(2))": (3,)}
+        verdicts = set()
+        for spec, rank_list in ranks.items():
+            for rank in rank_list:
+                for module in random_quotients(corpus[spec], rank, 6, rng):
+                    report = is_flat_module(module)
+                    flat, coefficients = flat_by_relation_scan(module)
+                    assert report.value == flat, module.label
+                    assert (report.witness or {}).get("coefficients") == coefficients, module.label
+                    verdicts.add((rank, flat))
+        assert verdicts == {(3, True), (3, False), (4, True), (4, False)}
 
     def test_relabeled_field_is_flat_without_inconsistency(self):
         # Z/7 relabeled by the additive automorphism a -> 2a: the identity is 2
@@ -352,7 +440,7 @@ class TestFlatness:
         ring = ring_from_tables((7,), 2, table, label="Z/7 via a->2a")
         for module in generated_module_family(ring):
             report = is_flat_module(module)
-            assert report.value and report.agrees_with_projective, module.label
+            assert report.value and is_projective_module(module).value, module.label
 
 
 class TestPropertyChain:
@@ -368,7 +456,7 @@ class TestPropertyChain:
             for module in modules:
                 free = bool(is_free_module(module))
                 projective = bool(is_projective_module(module))
-                flat = bool(is_flat_module(module, cross_check=False))
+                flat = bool(is_flat_module(module))
                 assert (not free) or projective, (spec, module.label)
                 assert (not projective) or flat, (spec, module.label)
                 assert flat == projective, (spec, module.label)
