@@ -18,6 +18,7 @@ of a negative verdict, and must agree with (k, r).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .ideals import (
     radical_nilpotency_degree,
 )
 from .properties import is_free_module
-from .rings import FiniteRing, galois_field, matrix_ring, matrix_units, verify_ring_axioms
+from .rings import FiniteRing, galois_field, matrix_ring, verify_ring_axioms
 from .verdict import Verdict
 
 TRUE = "true"
@@ -230,35 +231,39 @@ class CounterexampleCertificate:
 _BRIDGE_FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9)
 
 
-def _matrix_unit_identities(n: int, q: int, cfg: EngineConfig) -> dict:
+def _matrix_unit_identities(n: int, q: int) -> dict:
     """Enumeratively verify the field-generic idempotent identities in M(n, GF(q)).
 
-    Runs in structure-constant mode when the carrier exceeds the table cap, so
-    the bridge covers every field size without materializing large tables.
+    Matrices are (..., n, n) arrays of GF(q) element indices, multiplied
+    through the field's addition and multiplication tables, so no matrix
+    ring is built; the corner check runs over all q^(n^2) matrices.
     """
-    # Generator-product mode keeps the bridge cheap even at q=9 (6561 elements).
-    big = EngineConfig(max_ring=max(cfg.max_ring, q ** (n * n)), mul_table_cap=256)
-    scalars = galois_field(q, cfg=big)
-    ring = matrix_ring(n, scalars, cfg=big)
-    eu = matrix_units(n, scalars)
-    diag = [eu[(i, i)] for i in range(n)]
-    total = 0
-    for e in diag:
-        total = ring.add(total, e)
-    ok_sum = total == ring.one
+    scalars = galois_field(q)
+    add, mul = scalars.add_table, scalars.mul_table
+
+    def matmul(a, b):
+        terms = mul[a[..., :, :, None], b[..., None, :, :]]  # a_ij b_jk at [..., i, j, k]
+        return reduce(lambda x, y: add[x, y], np.moveaxis(terms, -2, 0))
+
+    eu = np.eye(n * n, dtype=np.int64).reshape(n, n, n, n) * scalars.one  # eu[i, j] = E_ij
+    diag = [eu[i, i] for i in range(n)]
+    zero = np.zeros((n, n), dtype=np.int64)
+    ok_sum = np.array_equal(reduce(lambda x, y: add[x, y], diag), np.eye(n, dtype=np.int64) * scalars.one)
     ok_orth = all(
-        ring.mul(diag[i], diag[j]) == (diag[i] if i == j else 0)
+        np.array_equal(matmul(diag[i], diag[j]), diag[i] if i == j else zero)
         for i in range(n)
         for j in range(n)
     )
-    idx = np.arange(ring.size, dtype=np.int64)
-    ok_primitive = True
-    for e in diag[:1]:  # corners are conjugate; one check suffices per size
-        corner = np.unique(ring.mul(ring.mul(np.full(ring.size, e), idx), np.full(ring.size, e)))
-        corner_idem = [int(c) for c in corner if ring.mul(int(c), int(c)) == int(c)]
-        ok_primitive &= sorted(corner_idem) == sorted({0, e})
+    # Corners are conjugate; one check suffices per size.  Sorted rows put the
+    # zero matrix before E_11, so the corner's idempotents must be exactly those.
+    e = diag[0]
+    every = ((np.arange(q ** (n * n))[:, None] // q ** np.arange(n * n)) % q).reshape(-1, n, n)
+    corner = np.unique(matmul(matmul(e, every), e).reshape(-1, n * n), axis=0).reshape(-1, n, n)
+    corner_idem = corner[(matmul(corner, corner) == corner).all(axis=(1, 2))]
+    ok_primitive = np.array_equal(corner_idem, np.stack([zero, e]))
     ok_iso = all(
-        ring.mul(eu[(i, j)], eu[(j, i)]) == diag[i] and ring.mul(eu[(j, i)], eu[(i, j)]) == diag[j]
+        np.array_equal(matmul(eu[i, j], eu[j, i]), diag[i])
+        and np.array_equal(matmul(eu[j, i], eu[i, j]), diag[j])
         for i in range(n)
         for j in range(n)
         if i != j
@@ -332,7 +337,7 @@ def classify_matrix_family(
 
     if symbolic:
         report = _symbolic_report(n)
-        claims = _symbolic_claims(n, cfg)
+        claims = _symbolic_claims(n)
         certificate = CounterexampleCertificate(n=n, field_kind="infinite", claims=claims)
         return report, certificate
 
@@ -372,7 +377,7 @@ def _finite_certificate(
     report: ClassificationReport,
     cfg: EngineConfig,
 ) -> CounterexampleCertificate:
-    identities = _matrix_unit_identities(n, q, cfg)
+    identities = _matrix_unit_identities(n, q)
     decomposition = primitive_decomposition(ring, cfg)
     p_module = decomposition.representatives[0]
     power_matches = _regular_is_p_power(ring, decomposition)
@@ -426,11 +431,11 @@ def _finite_certificate(
     return CounterexampleCertificate(n=n, field_kind=f"GF({q})", claims=claims)
 
 
-def _symbolic_claims(n: int, cfg: EngineConfig) -> list:
+def _symbolic_claims(n: int) -> list:
     bridge = []
     for q in _BRIDGE_FIELD_SIZES:
         if q ** (n * n) <= 10_000:
-            bridge.append(_matrix_unit_identities(n, q, cfg))
+            bridge.append(_matrix_unit_identities(n, q))
     bridge_ok = all(b["ok"] for b in bridge)
     unit_witness = {
         "idempotents": [f"E_{i}{i}" for i in range(1, n + 1)],

@@ -10,17 +10,15 @@ from dataclasses import dataclass, replace
 class EngineConfig:
     """Caps that bound every enumeration in the engine.
 
-    ``max_ring`` bounds ring carriers at construction time.  Addition and
-    multiplication are stored as full tables up to ``mul_table_cap`` elements
-    and evaluated from additive-generator products above it; operations that
-    need the tables refuse rings above it.  ``ideal_enum_cap`` bounds full
-    one-sided ideal lattice enumeration.  ``max_module`` bounds module
-    carriers and ``max_homs`` the candidate space of a homomorphism
-    enumeration.  Ring axiom checks are exact at every size and take no cap.
+    ``max_ring`` bounds ring carriers at construction time, and with them
+    the two N x N int32 tables (addition and multiplication) that every ring
+    carries.  ``ideal_enum_cap`` bounds full one-sided ideal lattice
+    enumeration.  ``max_module`` bounds module carriers and ``max_homs`` the
+    candidate space of a homomorphism enumeration.  Ring axiom checks are
+    exact at every size and take no cap.
     """
 
     max_ring: int = 4096
-    mul_table_cap: int = 4096
     ideal_enum_cap: int = 64
     max_module: int = 4096
     max_homs: int = 1_000_000

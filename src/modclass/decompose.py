@@ -27,7 +27,6 @@ from .verdict import Verdict
 
 def idempotents(ring: FiniteRing) -> tuple[int, ...]:
     """All e with e*e = e, by full enumeration."""
-    ring.require_tables("idempotents")
     idx = np.arange(ring.size)
     return tuple(int(v) for v in idx[ring.mul_table[idx, idx] == idx])
 
@@ -167,7 +166,6 @@ def primitive_decomposition(
 def _decompose(
     ring: FiniteRing, cfg: EngineConfig, rng: np.random.Generator | None
 ) -> IdempotentDecomposition:
-    ring.require_tables("primitive_decomposition")
     if ring.size == 1:
         return IdempotentDecomposition(ring, (), (), (), ())
 

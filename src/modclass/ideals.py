@@ -52,7 +52,6 @@ def ideal_generated(
     e_i g (left), the g e_j (right) or the e_i g e_j (two-sided), g in gens:
     multiplication is biadditive and R is unital.
     """
-    ring.require_tables("ideal_generated")
     if side not in ("left", "right", "two-sided"):
         raise SideError(f"unknown side {side!r}")
     mul = ring.mul_table
@@ -98,7 +97,6 @@ def jacobson_radical(ring: FiniteRing, cfg: EngineConfig | None = None) -> Ideal
 
 
 def _radical(ring: FiniteRing) -> Ideal:
-    ring.require_tables("jacobson_radical")
     mul = ring.mul_table
     powers = np.arange(ring.size)
     for _ in range((ring.size - 1).bit_length()):
@@ -234,7 +232,6 @@ def quotient_ring(
     via the Smith normal form of the ideal's generator lattice, so the result
     is a first-class ring with the same mixed-radix conventions.
     """
-    ring.require_tables("quotient_ring")
     if ideal.side != "two-sided":
         raise SideError(f"quotient_ring needs a two-sided ideal, got {ideal.side}")
     if ideal.ring is not ring:
@@ -281,7 +278,6 @@ def quotient_ring(
 
 def is_local(ring: FiniteRing, cfg: EngineConfig | None = None) -> Verdict:
     """Local iff the non-units form an additive subgroup (= the radical)."""
-    ring.require_tables("is_local")
     if ring.size == 1:
         return Verdict(False, note="zero ring has no maximal ideal")
     um = unit_mask(ring)
@@ -309,7 +305,6 @@ def is_simple_ring(ring: FiniteRing, cfg: EngineConfig | None = None) -> Verdict
     """Simple iff every nonzero element generates the whole ring two-sidedly."""
     if ring.size < 2:
         raise ValueError("simplicity needs a ring with 0 != 1")
-    ring.require_tables("is_simple_ring")
     for x in range(1, ring.size):
         ideal = ideal_generated(ring, "two-sided", [x], cfg)
         if not ideal.is_whole_ring:

@@ -46,7 +46,6 @@ class FiniteModule:
         rep: np.ndarray,
         label: str,
     ):
-        ring.require_tables("FiniteModule")
         self.ring = ring
         self.num_generators = int(num_generators)
         self.relations = np.asarray(relations, dtype=np.int64)
@@ -98,12 +97,12 @@ class FiniteModule:
         Entry (r, x) is the class of r·rep[x] in the free cover, one gather
         per row block of at most ``_BLOCK`` entries; no addition table is
         needed.  The regular module (one generator, no relations, so ``cls``
-        is the identity) copies the ring's multiplication table.
+        is the identity) shares the ring's multiplication table.
         """
         if self._act_table is None:
             ring = self.ring
             if self.num_generators == 1 and len(self.relations) == 1:
-                self._act_table = ring.mul_table.copy()
+                self._act_table = ring.mul_table
             else:
                 table = np.empty((ring.size, self.size), dtype=np.int32)
                 step = max(1, _BLOCK // self.size)

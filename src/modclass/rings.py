@@ -5,11 +5,12 @@ a product of cyclic groups of orders (n_1, ..., n_t); element i decodes to its
 mixed-radix digit vector over those orders, and addition is the componentwise
 group law.  The additive generators e_1, ..., e_t are the unit digit vectors.
 
-Every constructor emits only the t x t matrix of generator products e_i * e_j.
-Up to the table cap, :func:`materialize` turns it into full N x N addition
-and multiplication tables; above it, products are evaluated bilinearly from
-the generator products.  :func:`verify_ring_axioms` is exact at every size:
-biadditivity reduces the ring axioms to checks on the generators.
+Every constructor emits only the t x t matrix of generator products e_i * e_j,
+and :class:`FiniteRing` turns it into full N x N addition and multiplication
+tables with :func:`materialize`, so every ring carries its tables and
+``EngineConfig.max_ring`` alone bounds their size.  :func:`verify_ring_axioms`
+is exact at every size: biadditivity reduces the ring axioms to checks on the
+generators.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ class FiniteRing:
     """A finite unital ring on the carrier {0, ..., size-1}.
 
     Instances are immutable after construction; every operation is read-only.
-    The constructor trusts its tables — use :func:`ring_from_tables` or the
-    ring-spec DSL for untrusted input, both of which validate the axioms.
+    Given only ``gen_products``, the constructor builds the tables itself.  It
+    trusts its input — use :func:`ring_from_tables` or the ring-spec DSL for
+    untrusted input, both of which validate the axioms.
     """
 
     def __init__(
@@ -62,19 +64,20 @@ class FiniteRing:
         # The additive generators e_i as element indices (0 where n_i = 1).
         self._gens = self.encode(np.eye(len(orders), dtype=np.int64))
 
-        if mul_table is None and gen_products is None:
-            raise ValueError("need mul_table or gen_products")
-        self.mul_table = None if mul_table is None else _as_int32(mul_table)
-        if self.mul_table is not None and self.mul_table.shape != (self.size, self.size):
-            raise ValueError("mul_table has wrong shape")
-        self._gen_products = None if gen_products is None else _as_int32(gen_products)
-        self._table_cap: int | None = None  # set on rings built above the table cap
         self._add_table: np.ndarray | None = None
         self._neg_table: np.ndarray | None = None
         self._units: frozenset[int] | None = None
         self._registry = None  # set by decompose.get_registry
         self._decomposition = None  # set by decompose.primitive_decomposition
         self._radical = None  # set by ideals.jacobson_radical
+        self._gen_products = None if gen_products is None else _as_int32(gen_products)
+        if mul_table is None:
+            if gen_products is None:
+                raise ValueError("need mul_table or gen_products")
+            mul_table = materialize(self)
+        self.mul_table = _as_int32(mul_table)
+        if self.mul_table.shape != (self.size, self.size):
+            raise ValueError("mul_table has wrong shape")
 
     # -- encoding ----------------------------------------------------------
 
@@ -91,18 +94,9 @@ class FiniteRing:
 
     # -- additive structure --------------------------------------------------
 
-    def require_tables(self, op: str) -> None:
-        if self.mul_table is None:
-            raise SizeCapError(
-                f"{op} needs full tables, but ring {self.label} has {self.size} elements, "
-                f"above the table cap {self._table_cap} (EngineConfig.mul_table_cap) "
-                f"it was built with"
-            )
-
     @property
     def add_table(self) -> np.ndarray:
         if self._add_table is None:
-            self.require_tables("add_table")
             self._add_table = _addition_table(self)
         return self._add_table
 
@@ -113,10 +107,7 @@ class FiniteRing:
         return self._neg_table
 
     def add(self, a, b):
-        if self.mul_table is not None:
-            out = self.add_table[a, b]
-        else:
-            out = self.encode(self.decode(a) + self.decode(b))
+        out = self.add_table[a, b]
         return int(out) if np.ndim(out) == 0 else out
 
     def neg(self, a):
@@ -141,12 +132,11 @@ class FiniteRing:
         return self._gen_products
 
     def mul(self, a, b):
-        if self.mul_table is not None:
-            out = self.mul_table[a, b]
-            return int(out) if np.ndim(out) == 0 else out
-        return self._mul_bilinear(a, b)
+        out = self.mul_table[a, b]
+        return int(out) if np.ndim(out) == 0 else out
 
     def _mul_bilinear(self, a, b):
+        """a * b from the generator products alone: the kernel of :func:`materialize`."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         t = len(self.orders)
@@ -172,10 +162,7 @@ class FiniteRing:
 
     @property
     def is_commutative(self) -> bool:
-        if self.mul_table is not None:
-            return bool(np.array_equal(self.mul_table, self.mul_table.T))
-        gp = self.gen_products
-        return bool(np.array_equal(gp, gp.T))
+        return bool(np.array_equal(self.mul_table, self.mul_table.T))
 
     def __len__(self) -> int:
         return self.size
@@ -300,12 +287,11 @@ def verify_ring_axioms(ring: FiniteRing) -> RingAxiomReport:
 
     Right distributivity is additivity in the left argument: a * b is the sum
     of a_i (e_i * b), where the digits a_i run over [0, n_i) and so need
-    n_i (e_i * b) = 0.  A table is checked against the doubling fill of its
+    n_i (e_i * b) = 0.  The table is checked against the doubling fill of its
     own generator rows, and its transpose against that of its generator
-    columns; a ring without tables is biadditive by construction, so only
-    the orders are checked.  Given both laws, associativity and the identity
-    need checking on the generators only (Light's associativity test carried
-    over to biadditive maps).  Each check sets only its own flag.  Failures
+    columns.  Given both laws, associativity and the identity need checking
+    on the generators only (Light's associativity test carried over to
+    biadditive maps).  Each check sets only its own flag.  Failures
     are reported, never raised.
     """
     n = ring.size
@@ -316,23 +302,22 @@ def verify_ring_axioms(ring: FiniteRing) -> RingAxiomReport:
     def vanishes(x):  # n_i * x[i, b] == 0 for each generator i
         return (ring.decode(x) * ring._orders_arr[:, None, None] % ring._orders_arr == 0).all(axis=-1)
 
-    rows = np.stack([ring.mul(g, idx) for g in gens])  # e_i * b
-    cols = np.stack([ring.mul(idx, g) for g in gens])  # b * e_j, one row per j
+    table = ring.mul_table
+    rows = table[gens]  # e_i * b
+    cols = table[:, gens].T  # b * e_j, one row per j
     bad = ~vanishes(rows)
     failures += _witnesses("right_order", bad, gens, idx)
     right_ok = not bad.any()
     bad = ~vanishes(cols)
     failures += _witnesses("left_order", bad.T, idx, gens)
     left_ok = not bad.any()
-    if ring.mul_table is not None:
-        table = ring.mul_table
-        zeros = np.zeros(n, dtype=np.int32)
-        bad = table != _fill(ring, zeros, rows, _add_rows(ring.add_table))
-        failures += _witnesses("right_distributivity", bad, idx, idx)
-        right_ok = right_ok and not bad.any()
-        bad = table.T != _fill(ring, zeros, cols, _add_rows(ring.add_table))
-        failures += _witnesses("left_distributivity", bad.T, idx, idx)
-        left_ok = left_ok and not bad.any()
+    zeros = np.zeros(n, dtype=np.int32)
+    bad = table != _fill(ring, zeros, rows, _add_rows(ring.add_table))
+    failures += _witnesses("right_distributivity", bad, idx, idx)
+    right_ok = right_ok and not bad.any()
+    bad = table.T != _fill(ring, zeros, cols, _add_rows(ring.add_table))
+    failures += _witnesses("left_distributivity", bad.T, idx, idx)
+    left_ok = left_ok and not bad.any()
 
     gp = ring.gen_products
     bad = ring.mul(gp[:, :, None], gens[None, None, :]) != ring.mul(gens[:, None, None], gp[None, :, :])
@@ -355,22 +340,11 @@ def verify_ring_axioms(ring: FiniteRing) -> RingAxiomReport:
 
 def units(ring: FiniteRing) -> frozenset[int]:
     """Two-sided invertible elements, checking invertibility on both sides."""
-    if ring._units is not None:
-        return ring._units
-    if ring.mul_table is not None:
+    if ring._units is None:
         hits = ring.mul_table == ring.one
         two_sided = hits.any(axis=1) & hits.any(axis=0)
-        result = frozenset(int(a) for a in np.nonzero(two_sided)[0])
-    else:
-        idx = np.arange(ring.size)
-        result = frozenset(
-            a
-            for a in range(ring.size)
-            if (ring.mul(np.full(ring.size, a), idx) == ring.one).any()
-            and (ring.mul(idx, np.full(ring.size, a)) == ring.one).any()
-        )
-    ring._units = result
-    return result
+        ring._units = frozenset(int(a) for a in np.nonzero(two_sided)[0])
+    return ring._units
 
 
 def unit_mask(ring: FiniteRing) -> np.ndarray:
@@ -387,16 +361,6 @@ def _check_size(size: int, label: str, cfg: EngineConfig) -> None:
         raise SizeCapError(f"{label}: carrier size {size} exceeds ring cap {cfg.max_ring}")
 
 
-def _from_gen_products(orders, one: int, label: str, gp, cfg: EngineConfig) -> FiniteRing:
-    """The one exit of every constructor: full tables exactly up to the table cap."""
-    ring = FiniteRing(orders, one=one, label=label, gen_products=gp)
-    if ring.size <= cfg.mul_table_cap:
-        ring.mul_table = materialize(ring)
-    else:
-        ring._table_cap = cfg.mul_table_cap
-    return ring
-
-
 def cyclic_ring(n: int, label: str | None = None, cfg: EngineConfig | None = None) -> FiniteRing:
     """The ring of integers mod n."""
     cfg = cfg or DEFAULTS
@@ -404,7 +368,7 @@ def cyclic_ring(n: int, label: str | None = None, cfg: EngineConfig | None = Non
         raise ValueError(f"modulus must be positive, got {n}")
     label = label or f"Z/{n}"
     _check_size(n, label, cfg)
-    return _from_gen_products((n,), 1 % n, label, [[1 % n]], cfg)
+    return FiniteRing((n,), one=1 % n, label=label, gen_products=[[1 % n]])
 
 
 # Polynomial helpers over the prime field F_p; coefficient tuples, index = degree.
@@ -502,7 +466,7 @@ def galois_field(q: int, label: str | None = None, cfg: EngineConfig | None = No
     if k == 1:
         return cyclic_ring(p, label=label, cfg=cfg)
     gp = _poly_gen_products(cyclic_ring(p, cfg=cfg), least_irreducible_poly(p, k))
-    return _from_gen_products((p,) * k, 1, label, gp, cfg)
+    return FiniteRing((p,) * k, one=1, label=label, gen_products=gp)
 
 
 def _square_positions(n: int, upper_only: bool) -> list[tuple[int, int]]:
@@ -520,8 +484,6 @@ def _matrix_like_ring(
 ) -> FiniteRing:
     if n < 1:
         raise ValueError(f"{label}: matrix dimension must be >= 1")
-    if scalars.mul_table is None:
-        raise SizeCapError(f"{label}: scalar ring too large for matrix construction")
     positions = _square_positions(n, upper_only)
     s = scalars.size
     size = s ** len(positions)
@@ -538,7 +500,7 @@ def _matrix_like_ring(
         for m2, ((r2, c2), g2) in enumerate(gens):
             if c == r2 and (r, c2) in pos_index:
                 gp[m1, m2] = scalars.mul(g1, g2) * s ** pos_index[(r, c2)]
-    return _from_gen_products(scalars.orders * len(positions), one, label, gp, cfg)
+    return FiniteRing(scalars.orders * len(positions), one=one, label=label, gen_products=gp)
 
 
 def matrix_ring(n: int, scalars: FiniteRing, cfg: EngineConfig | None = None) -> FiniteRing:
@@ -576,7 +538,7 @@ def product_ring(a: FiniteRing, b: FiniteRing, cfg: EngineConfig | None = None) 
     gp = np.zeros((ta + tb, ta + tb), dtype=np.int64)
     gp[:ta, :ta] = a.gen_products
     gp[ta:, ta:] = np.asarray(b.gen_products, dtype=np.int64) * a.size
-    return _from_gen_products(a.orders + b.orders, a.one + a.size * b.one, label, gp, cfg)
+    return FiniteRing(a.orders + b.orders, one=a.one + a.size * b.one, label=label, gen_products=gp)
 
 
 def _poly_gen_products(scalars: FiniteRing, coeffs: list[int]) -> np.ndarray:
@@ -627,12 +589,10 @@ def poly_quotient_ring(
         raise ValueError(f"{label}: coefficient out of range")
     if coeffs[-1] != scalars.one:
         raise ValueError(f"{label}: polynomial must be monic")
-    if scalars.mul_table is None:
-        raise SizeCapError(f"{label}: scalar ring too large")
     d = len(coeffs) - 1
     _check_size(scalars.size**d, label, cfg)
     gp = _poly_gen_products(scalars, coeffs)
-    return _from_gen_products(scalars.orders * d, scalars.one, label, gp, cfg)
+    return FiniteRing(scalars.orders * d, one=scalars.one, label=label, gen_products=gp)
 
 
 def ring_from_tables(

@@ -2,8 +2,8 @@
 
 ``tests/data/golden_outputs.json`` maps each output below to its exact text:
 ``classify --corpus builtin`` (JSON and ``--table``), ``decompose`` and
-``radical`` for a few specs, ``classify`` for a few more, and the seed-1
-meta-suite, which ``test_classify.py::TestSuite`` compares against the run it
+``radical`` for a few specs, ``classify`` for a few more, ``certificate`` for
+a few matrix families, and the seed-1 meta-suite, which ``test_classify.py::TestSuite`` compares against the run it
 already makes.
 Re-record it (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden_outputs.py``.
@@ -23,6 +23,9 @@ SPECS = ("Z/12", "T(2,GF(2))", "M(2,GF(3))", "GF(2) x M(2,GF(2))")
 # One spec per branch of the local / R/J-simple verdicts: k = 1 with r = 3,
 # local, not local with J != 0, and k = 2 (the negative-witness search).
 CLASSIFY_SPECS = ("M(3,GF(2))", "GF(256)", "M(2,Z/4)", "PolyQuot(GF(2),[1,0,0,1,0,0,0,0,0,1])")
+# The symbolic certificates carry the finite-field bridge; the finite ones
+# the enumerative pipeline.
+CERTIFICATES = (("1", "infinite"), ("2", "infinite"), ("3", "infinite"), ("2", "2"), ("3", "2"))
 META_KEY = "run_meta_suite(seeds=(1,))"
 
 
@@ -30,6 +33,7 @@ def cli_commands() -> list[list[str]]:
     commands = [["classify", "--corpus", "builtin"], ["classify", "--corpus", "builtin", "--table"]]
     commands += [[command, spec] for command in ("decompose", "radical") for spec in SPECS]
     commands += [["classify", spec] for spec in CLASSIFY_SPECS]
+    commands += [["certificate", "--n", n, "--field", field] for n, field in CERTIFICATES]
     return commands
 
 

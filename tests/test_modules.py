@@ -73,6 +73,8 @@ class TestConstruction:
 
     def test_corrupted_action_is_rejected_at_every_size(self):
         module = regular_module(build_ring("Z/2048"))
+        # A regular module shares the ring's table: corrupt a private copy.
+        module._act_table = module.act_table.copy()
         module.act_table[5, 7] += 1
         assert not verify_module_axioms(module)
 
@@ -83,7 +85,7 @@ class TestConstruction:
         modules += [quotient_module(reg, cyclic_submodule(reg, 3)), regular_module(build_ring("Z/2048"))]
         rng = np.random.default_rng(0)
         for module in modules:
-            table = module.act_table
+            table = module._act_table = module.act_table.copy()  # never the ring's own table
             for _ in range(20):
                 r, x = int(rng.integers(module.ring.size)), int(rng.integers(module.size))
                 old = int(table[r, x])
@@ -140,6 +142,10 @@ class TestActTable:
                 rep = module.rep
                 sums = module.cls[module.cover_add(rep[:, None], rep[None, :])]
                 assert np.array_equal(module.add_table, sums), module.label
+
+    def test_regular_module_shares_the_multiplication_table(self, corpus):
+        for ring in corpus.values():
+            assert np.shares_memory(regular_module(ring).act_table, ring.mul_table), ring.label
 
 
 def doubling_fill_act_table(module):
