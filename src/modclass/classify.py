@@ -1,7 +1,8 @@
 """Ring classification: elementary classes, categoricity, and certificates.
 
 Each ring is classified by combining the radical, chain-condition, and
-idempotent structure into the classical criteria: the flat class is
+idempotent structure into the classical criteria, stated once in
+``_verdicts`` for finite rings and symbolic entries alike: the flat class is
 elementary iff the ring is right coherent (Chase), the projective class iff
 it is also left perfect (Chase; Sabbagh-Eklof), the free class iff the ring
 is artinian and either local or finite with simple semisimple quotient
@@ -13,6 +14,9 @@ The ring verdicts are read off the radical J and the primitive decomposition,
 R/J = M_r1(D1) x ... x M_rk(Dk): R/J is simple iff k = 1, and R is local iff
 r = (1,).  ``is_local`` and ``is_simple_ring`` run only to find the witness
 of a negative verdict, and must agree with (k, r).
+
+The M(n, F) certificate states its claims once, in ``_CLAIMS``; the finite
+and the symbolic certificate each supply one (holds, witness) pair per claim.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
-from .decompose import IdempotentDecomposition, corner_isomorphism, primitive_decomposition
+from .decompose import primitive_decomposition
 from .errors import ConsistencyError
 from .ideals import (
     chain_conditions,
@@ -33,7 +37,8 @@ from .ideals import (
     quotient_ring,
     radical_nilpotency_degree,
 )
-from .properties import is_free_module
+from .modules import regular_module
+from .properties import is_free_module, is_projective_module
 from .rings import FiniteRing, galois_field, matrix_ring, verify_ring_axioms
 from .verdict import Verdict
 
@@ -93,10 +98,42 @@ _ORIENTATION_NOTE = (
 )
 
 
+def _verdicts(
+    multiplicities: tuple[int, ...],
+    *,
+    finite: bool,
+    is_local: bool,
+    r_mod_j_simple: bool,
+    right_artinian: bool,
+    left_perfect: bool,
+    right_coherent: bool,
+) -> dict:
+    """Every verdict field of a ClassificationReport, by the criteria in the
+    module docstring, from the r_i of R/J = M_r1(D1) x ... x M_rk(Dk) and the
+    report's structure fields: the one rule for finite rings and symbolic
+    entries.  II is categoricity and implies I; III and IV hold iff the free
+    class is elementary."""
+    projectives_elementary = left_perfect and right_coherent
+    frees_elementary = right_artinian and (is_local or (finite and r_mod_j_simple))
+    categorical = projectives_elementary and len(multiplicities) == 1
+    free_class = TRUE if frees_elementary else FALSE
+    return {
+        "flats_elementary": right_coherent,
+        "projectives_elementary": projectives_elementary,
+        "frees_elementary": frees_elementary,
+        "property_I": IMPLIED_TRUE if categorical else UNKNOWN,
+        "property_II": TRUE if categorical else FALSE,
+        "property_III": free_class,
+        "property_IV": free_class,
+        "categorical": categorical,
+        "projective_equals_free": multiplicities == (1,),
+    }
+
+
 def classify_ring(ring: FiniteRing, cfg: EngineConfig | None = None) -> ClassificationReport:
     """Run the full structural pipeline on a finite ring."""
     cfg = cfg or DEFAULTS
-    radical = jacobson_radical(ring, cfg)
+    radical = jacobson_radical(ring)
     decomposition = primitive_decomposition(ring, cfg)
     k = decomposition.k
     multiplicities = decomposition.multiplicities
@@ -104,25 +141,24 @@ def classify_ring(ring: FiniteRing, cfg: EngineConfig | None = None) -> Classifi
     if multiplicities == (1,):  # R/J is a division ring, and J is the set of non-units
         local = Verdict(True, witness=radical, note="non-units form the unique maximal left ideal")
     else:
-        local = is_local(ring, cfg)
+        local = is_local(ring)
     if k == 1:
         simple = Verdict(True, note="every nonzero element generates the whole ring")
     elif k == 0:
         simple = Verdict(False, note="zero quotient")
     else:
-        simple = is_simple_ring(quotient_ring(ring, radical, label=f"({ring.label})/J", cfg=cfg), cfg)
+        simple = is_simple_ring(quotient_ring(ring, radical, label=f"({ring.label})/J"))
     if bool(local) != (multiplicities == (1,)) or bool(simple) != (k == 1):
         raise ConsistencyError(f"{ring.label}: local/simple predicates contradict r = {multiplicities}")
     chains = chain_conditions(ring, cfg)
-
-    flats_elementary = chains.right_coherent
-    projectives_elementary = chains.left_perfect and chains.right_coherent
-    frees_elementary = chains.right_artinian and (bool(local) or bool(simple))
-    property_ii = projectives_elementary and k == 1
-    property_iv = frees_elementary
-    property_iii = property_iv
-    property_i = IMPLIED_TRUE if property_ii else UNKNOWN
-    projective_equals_free = k == 1 and multiplicities == (1,)
+    structure = {
+        "finite": True,
+        "is_local": bool(local),
+        "r_mod_j_simple": bool(simple),
+        "right_artinian": chains.right_artinian,
+        "left_perfect": chains.left_perfect,
+        "right_coherent": chains.right_coherent,
+    }
 
     notes = [
         "flats elementary <=> right coherent (Chase)",
@@ -155,24 +191,11 @@ def classify_ring(ring: FiniteRing, cfg: EngineConfig | None = None) -> Classifi
     return ClassificationReport(
         ring_label=ring.label,
         carrier_size=ring.size,
-        finite=True,
         radical_size=len(radical),
-        is_local=bool(local),
-        r_mod_j_simple=bool(simple),
-        right_artinian=chains.right_artinian,
-        left_perfect=chains.left_perfect,
-        right_coherent=chains.right_coherent,
         indecomposables=[[int(s), int(m)] for s, m in zip(sizes, multiplicities)],
         k=k,
-        flats_elementary=flats_elementary,
-        projectives_elementary=projectives_elementary,
-        frees_elementary=frees_elementary,
-        property_I=property_i,
-        property_II=TRUE if property_ii else FALSE,
-        property_III=TRUE if property_iii else FALSE,
-        property_IV=TRUE if property_iv else FALSE,
-        categorical=property_ii,
-        projective_equals_free=projective_equals_free,
+        **structure,
+        **_verdicts(multiplicities, **structure),
         notes=notes,
         witnesses=witnesses,
     )
@@ -228,7 +251,28 @@ class CounterexampleCertificate:
         raise KeyError(name)
 
 
+# The claims about M(n, F), in certificate order, as (name, statement).  Only
+# the models that categoricity makes isomorphic are worded per field.
+_CLAIMS = (
+    ("unique_indecomposable", "every indecomposable projective is isomorphic to the column module P"),
+    ("regular_is_p_power", "P^({n}) is isomorphic to the regular module"),
+    ("p_not_free", "the column module P is not a free module"),
+    ("uncountably_categorical", "all {models} are isomorphic (every module is a direct sum of copies of P)"),
+    ("frees_not_elementary", "the class of free modules is not axiomatizable"),
+)
+_P_IS_R = "n=1 makes P = R, which is free"
 _BRIDGE_FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9)
+
+
+def _certificate(
+    n: int, field_kind: str, models: str, status: str, evidence: list
+) -> CounterexampleCertificate:
+    """The claims of ``_CLAIMS`` with one (holds, witness) pair each."""
+    claims = [
+        CertificateClaim(name, statement.format(n=n, models=models), holds, status, witness)
+        for (name, statement), (holds, witness) in zip(_CLAIMS, evidence, strict=True)
+    ]
+    return CounterexampleCertificate(n=n, field_kind=field_kind, claims=claims)
 
 
 def _matrix_unit_identities(n: int, q: int) -> dict:
@@ -279,6 +323,9 @@ def _matrix_unit_identities(n: int, q: int) -> dict:
 
 
 def _symbolic_report(n: int) -> ClassificationReport:
+    """M(n, F) over an infinite field: simple artinian with R/J = M_n(F).  The
+    rule then gives categoricity, and for n >= 2 a free class that is not
+    elementary: R is neither local nor finite."""
     notes = [
         "symbolic entry: no enumeration over the infinite carrier; verdicts follow "
         "field-generic identities among the matrix units",
@@ -287,37 +334,29 @@ def _symbolic_report(n: int) -> ClassificationReport:
         f"regular module is the {n}-th power of the column module",
         _ORIENTATION_NOTE,
     ]
-    frees_elementary = n == 1
+    structure = {
+        "finite": False,
+        "is_local": n == 1,
+        "r_mod_j_simple": True,
+        "right_artinian": True,
+        "left_perfect": True,
+        "right_coherent": True,
+    }
     return ClassificationReport(
         ring_label=f"M({n},F_infinite)",
         carrier_size=None,
-        finite=False,
         radical_size=None,
-        is_local=n == 1,
-        r_mod_j_simple=True,
-        right_artinian=True,
-        left_perfect=True,
-        right_coherent=True,
         indecomposables=[[None, n]],
         k=1,
-        flats_elementary=True,
-        projectives_elementary=True,
-        frees_elementary=frees_elementary,
-        property_I=IMPLIED_TRUE,
-        property_II=TRUE,
-        property_III=TRUE if frees_elementary else FALSE,
-        property_IV=TRUE if frees_elementary else FALSE,
-        categorical=True,
-        projective_equals_free=n == 1,
+        **structure,
+        **_verdicts((n,), **structure),
         notes=notes,
         witnesses={"radical_size": "zero (semisimple)"},
     )
 
 
 def classify_matrix_family(
-    n: int,
-    field: int | str,
-    cfg: EngineConfig | None = None,
+    n: int, field: int | str, cfg: EngineConfig | None = None
 ) -> tuple[ClassificationReport, CounterexampleCertificate]:
     """Classify M(n, F) for finite GF(q) or a symbolic infinite field.
 
@@ -329,176 +368,75 @@ def classify_matrix_family(
     cfg = cfg or DEFAULTS
     if not 1 <= n <= 4:
         raise ValueError(f"matrix dimension n={n} outside 1..4")
-    symbolic = isinstance(field, str) and field in ("infinite", "symbolic")
-    if not symbolic:
-        q = int(field)
-        if q > 9:
-            raise ValueError(f"finite field size q={q} above 9")
-
-    if symbolic:
+    if isinstance(field, str) and field in ("infinite", "symbolic"):
         report = _symbolic_report(n)
-        claims = _symbolic_claims(n)
-        certificate = CounterexampleCertificate(n=n, field_kind="infinite", claims=claims)
-        return report, certificate
-
-    scalars = galois_field(q, cfg=cfg)
-    ring = matrix_ring(n, scalars, cfg=cfg)
+        return report, _symbolic_certificate(n, report)
+    q = int(field)
+    if q > 9:
+        raise ValueError(f"finite field size q={q} above 9")
+    ring = matrix_ring(n, galois_field(q, cfg=cfg), cfg=cfg)
     report = classify_ring(ring, cfg)
-    certificate = _finite_certificate(n, q, ring, scalars, report, cfg)
-    return report, certificate
-
-
-def _regular_is_p_power(ring: FiniteRing, decomposition: IdempotentDecomposition) -> bool:
-    """Whether (x_f) -> sum_f x_f a_f is a bijection (Re)^r -> R, for e the
-    first idempotent of the first class and f over that class's r members.
-
-    ``corner_isomorphism`` gives a in eRf and b in fRe with ab = e, ba = f,
-    so x -> x a maps Re to Rf with x a b = x; the map commutes with the left
-    action, so a bijection is an explicit isomorphism P^r = R.
-    """
-    mul = ring.mul_table
-    e = decomposition.classes[0][0]
-    column = np.unique(mul[:, e])  # Re
-    sums = np.zeros(1, dtype=np.int64)
-    for f in decomposition.classes[0]:
-        a, b = corner_isomorphism(ring, e, f)
-        image = mul[column, a]
-        if not np.array_equal(mul[image, b], column):
-            return False
-        sums = ring.add(sums[:, None], image[None, :]).ravel()
-    return len(sums) == ring.size and len(np.unique(sums)) == ring.size
+    return report, _finite_certificate(n, q, ring, report, cfg)
 
 
 def _finite_certificate(
-    n: int,
-    q: int,
-    ring: FiniteRing,
-    scalars: FiniteRing,
-    report: ClassificationReport,
-    cfg: EngineConfig,
+    n: int, q: int, ring: FiniteRing, report: ClassificationReport, cfg: EngineConfig
 ) -> CounterexampleCertificate:
-    identities = _matrix_unit_identities(n, q)
     decomposition = primitive_decomposition(ring, cfg)
     p_module = decomposition.representatives[0]
-    power_matches = _regular_is_p_power(ring, decomposition)
+    # The regular module's carrier is R's and its action table R's
+    # multiplication table, so it costs nothing beyond the ring and is not
+    # capped a second time.  Its projective-cover section is a checked
+    # bijection P^(r) -> R, with r = (n,) here.
+    regular = regular_module(ring, cfg.with_overrides(max_module=max(cfg.max_module, ring.size)))
+    power_matches = bool(is_projective_module(regular, cfg))
     free_verdict = is_free_module(p_module, cfg)
-    claims = [
-        CertificateClaim(
-            name="unique_indecomposable",
-            statement="every indecomposable projective is isomorphic to the column module P",
-            holds=decomposition.k == 1,
-            status="verified",
-            witness={"k": decomposition.k, "identities": identities},
-        ),
-        CertificateClaim(
-            name="regular_is_p_power",
-            statement=f"P^({n}) is isomorphic to the regular module",
-            holds=bool(power_matches) and decomposition.multiplicities == (n,),
-            status="verified",
-            witness={
-                "multiplicity": list(decomposition.multiplicities),
-                "p_size": p_module.size,
-                "explicit_isomorphism_found": power_matches,
-            },
-        ),
-        CertificateClaim(
-            name="p_not_free",
-            statement="the column module P is not a free module",
-            holds=(not free_verdict.value) if n >= 2 else False,
-            status="verified",
-            witness={"free_check": free_verdict.note}
-            | ({} if n >= 2 else {"degenerate": "n=1 makes P = R, which is free"}),
-        ),
-        CertificateClaim(
-            name="uncountably_categorical",
-            statement="all modules of a given infinite size are isomorphic "
-            "(every module is a direct sum of copies of P)",
-            holds=report.categorical,
-            status="verified",
-            witness={"property_II": report.property_II},
-        ),
-        CertificateClaim(
-            name="frees_not_elementary",
-            statement="the class of free modules is not axiomatizable",
-            holds=not report.frees_elementary,
-            status="verified",
-            witness={
-                "frees_elementary": report.frees_elementary,
-                "note": "finite matrix rings keep the free class elementary",
-            },
-        ),
+    r = decomposition.multiplicities
+    power = {"multiplicity": list(r), "p_size": p_module.size, "explicit_isomorphism_found": power_matches}
+    free_check = {"free_check": free_verdict.note} | ({} if n >= 2 else {"degenerate": _P_IS_R})
+    frees = {
+        "frees_elementary": report.frees_elementary,
+        "note": "finite matrix rings keep the free class elementary",
+    }
+    evidence = [
+        (decomposition.k == 1, {"k": decomposition.k, "identities": _matrix_unit_identities(n, q)}),
+        (power_matches and r == (n,), power),
+        (n >= 2 and not free_verdict.value, free_check),
+        (report.categorical, {"property_II": report.property_II}),
+        (not report.frees_elementary, frees),
     ]
-    return CounterexampleCertificate(n=n, field_kind=f"GF({q})", claims=claims)
+    return _certificate(n, f"GF({q})", "modules of a given infinite size", "verified", evidence)
 
 
-def _symbolic_claims(n: int) -> list:
-    bridge = []
-    for q in _BRIDGE_FIELD_SIZES:
-        if q ** (n * n) <= 10_000:
-            bridge.append(_matrix_unit_identities(n, q))
-    bridge_ok = all(b["ok"] for b in bridge)
-    unit_witness = {
+def _symbolic_certificate(n: int, report: ClassificationReport) -> CounterexampleCertificate:
+    bridge = [_matrix_unit_identities(n, q) for q in _BRIDGE_FIELD_SIZES if q ** (n * n) <= 10_000]
+    matrix_units = {
         "idempotents": [f"E_{i}{i}" for i in range(1, n + 1)],
         "relations": "E_ii E_jj = 0 for i != j; E_11 + ... + E_nn = 1; "
         "E_ij E_ji = E_ii realizes the column-module isomorphisms",
         "finite_field_bridge": bridge,
-        "bridge_ok": bridge_ok,
+        "bridge_ok": all(b["ok"] for b in bridge),
     }
-    return [
-        CertificateClaim(
-            name="unique_indecomposable",
-            statement="every indecomposable projective is isomorphic to the column module P",
-            holds=True,
-            status="certificate",
-            witness=unit_witness,
-        ),
-        CertificateClaim(
-            name="regular_is_p_power",
-            statement=f"P^({n}) is isomorphic to the regular module",
-            holds=True,
-            status="certificate",
-            witness={
-                "decomposition": "R = R E_11 + ... + R E_nn with the column-module "
-                "isomorphisms given by the matrix units",
-            },
-        ),
-        CertificateClaim(
-            name="p_not_free",
-            statement="the column module P is not a free module",
-            holds=n >= 2,
-            status="certificate",
-            witness={
-                "dimension_argument": (
-                    f"over the base field, P has dimension {n} while a free module "
-                    f"has dimension a multiple of {n * n}; no positive multiple matches"
-                    if n >= 2
-                    else "n=1 makes P = R, which is free"
-                )
-            },
-        ),
-        CertificateClaim(
-            name="uncountably_categorical",
-            statement="all algebras of a given uncountable size are isomorphic "
-            "(every module is a direct sum of copies of P)",
-            holds=True,
-            status="certificate",
-            witness={"reason": "semisimple with a unique simple module"},
-        ),
-        CertificateClaim(
-            name="frees_not_elementary",
-            statement="the class of free modules is not axiomatizable",
-            holds=n >= 2,
-            status="certificate",
-            witness={
-                "reason": (
-                    "P is a direct summand limit of frees yet not free, so freeness "
-                    "is not preserved under elementary equivalence"
-                    if n >= 2
-                    else "n=1 is a division ring: frees are elementary"
-                )
-            },
-        ),
+    summands = "R = R E_11 + ... + R E_nn with the column-module isomorphisms given by the matrix units"
+    if n >= 2:
+        dimensions = (
+            f"over the base field, P has dimension {n} while a free module "
+            f"has dimension a multiple of {n * n}; no positive multiple matches"
+        )
+        frees = (
+            "P is a direct summand limit of frees yet not free, so freeness "
+            "is not preserved under elementary equivalence"
+        )
+    else:
+        dimensions, frees = _P_IS_R, "n=1 is a division ring: frees are elementary"
+    evidence = [
+        (report.k == 1, matrix_units),
+        (True, {"decomposition": summands}),
+        (n >= 2, {"dimension_argument": dimensions}),
+        (report.categorical, {"reason": "semisimple with a unique simple module"}),
+        (not report.frees_elementary, {"reason": frees}),
     ]
+    return _certificate(n, "infinite", "algebras of a given uncountable size", "certificate", evidence)
 
 
 # -- meta-checks over report collections --------------------------------------------

@@ -174,7 +174,7 @@ def cmd_decompose(args) -> int:
 def cmd_radical(args) -> int:
     cfg = _cfg_from_args(args)
     ring = build_ring(args.spec, cfg)
-    radical = jacobson_radical(ring, cfg)
+    radical = jacobson_radical(ring)
     payload = {
         "ring": ring.label,
         "carrier_size": ring.size,

@@ -14,7 +14,6 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .classify import (
-    ClassificationReport,
     MetaFinding,
     MetaReport,
     classify_ring,
@@ -65,9 +64,7 @@ def builtin_corpus(cfg: EngineConfig | None = None) -> list[FiniteRing]:
 _TEST_MODULE_SIZE_LIMIT = 30
 
 
-def corpus_test_modules(
-    ring: FiniteRing, cfg: EngineConfig | None = None, size_limit: int = _TEST_MODULE_SIZE_LIMIT
-) -> list[FiniteModule]:
+def corpus_test_modules(ring: FiniteRing, cfg: EngineConfig | None = None) -> list[FiniteModule]:
     """A frozen, small selection of test modules for the invariant suites.
 
     Kept below the size limit so that two-variable pp evaluation on pairwise
@@ -76,22 +73,22 @@ def corpus_test_modules(
     cfg = cfg or DEFAULTS
     reg = regular_module(ring, cfg)
     mods: list[FiniteModule] = []
-    if reg.size <= size_limit:
+    if reg.size <= _TEST_MODULE_SIZE_LIMIT:
         mods.append(reg)
     else:
         for rep in primitive_decomposition(ring, cfg).representatives:
-            if rep.size <= size_limit:
+            if rep.size <= _TEST_MODULE_SIZE_LIMIT:
                 mods.append(rep)
-    radical = jacobson_radical(ring, cfg)
+    radical = jacobson_radical(ring)
     if 1 < len(radical) < ring.size:
         quotient = quotient_module(reg, list(radical.elements), label=f"{ring.label}/J", cfg=cfg)
-        if 2 <= quotient.size <= size_limit:
+        if 2 <= quotient.size <= _TEST_MODULE_SIZE_LIMIT:
             mods.append(quotient)
     for x in range(1, ring.size):
         sub = cyclic_submodule(reg, x)
         if 1 < len(sub) < ring.size:
             quotient = quotient_module(reg, sub, label=f"{ring.label}/(x{x})", cfg=cfg)
-            if 2 <= quotient.size <= size_limit:
+            if 2 <= quotient.size <= _TEST_MODULE_SIZE_LIMIT:
                 mods.append(quotient)
                 break
     seen: set[tuple] = set()
@@ -116,7 +113,7 @@ def generated_module_family(
         base = regular_module(ring, cfg)
         if rank == 2:
             base = direct_sum(base, base, cfg)
-        for sub in all_submodules(base, cfg):
+        for sub in all_submodules(base):
             family.append(
                 quotient_module(base, sub, label=f"{ring.label}^{rank}/[{len(sub)}]", cfg=cfg)
             )
@@ -316,7 +313,6 @@ def run_meta_suite(
     cfg: EngineConfig | None = None,
     rings: list[FiniteRing] | None = None,
     seeds: tuple[int, ...] = (1, 2, 3),
-    extra_reports: list[ClassificationReport] | None = None,
 ) -> SuiteResult:
     """Classify the corpus and run every cross-cutting consistency section.
 
@@ -329,18 +325,17 @@ def run_meta_suite(
     bad = {f.ring_label for f in axiom_section.findings}
     rings = [r for r in rings if r.label not in bad]
     reports = [classify_ring(r, cfg) for r in rings]
-    all_reports = reports + (extra_reports or [])
     meta = [
         axiom_section,
-        verify_implication_chain(all_reports),
-        lemma31_check(all_reports),
+        verify_implication_chain(reports),
+        lemma31_check(reports),
         flat_projective_suite(rings, cfg),
         multiplicativity_suite(rings, cfg),
         decomposition_determinism_suite(rings, seeds, cfg),
     ]
     counts = {
         "rings": len(rings),
-        "reports": len(all_reports),
+        "reports": len(reports),
         "violations": sum(len(m.findings) for m in meta),
     }
     return SuiteResult(reports=reports, meta=meta, counts=counts)

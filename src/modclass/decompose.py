@@ -227,8 +227,7 @@ class IndecomposableRegistry:
     of the same size by direct isomorphism search.
     """
 
-    def __init__(self, ring: FiniteRing):
-        self.ring = ring
+    def __init__(self):
         self.representatives: list[FiniteModule] = []
 
     def classify(self, module: FiniteModule, cfg: EngineConfig | None = None) -> int:
@@ -249,7 +248,7 @@ def get_registry(ring: FiniteRing) -> IndecomposableRegistry:
     """The ring's registry, created on first use and kept on the ring itself
     (stable class ids for as long as the ring lives)."""
     if ring._registry is None:
-        ring._registry = IndecomposableRegistry(ring)
+        ring._registry = IndecomposableRegistry()
     return ring._registry
 
 

@@ -40,12 +40,7 @@ class Ideal:
         return len(self.elements) == self.ring.size
 
 
-def ideal_generated(
-    ring: FiniteRing,
-    side: Side,
-    gens: Sequence[int],
-    cfg: EngineConfig | None = None,
-) -> Ideal:
+def ideal_generated(ring: FiniteRing, side: Side, gens: Sequence[int]) -> Ideal:
     """Least ideal of the given side containing ``gens``.
 
     With e_i the additive generators of R, it is the additive span of the
@@ -79,13 +74,13 @@ def one_sided_ideals(
             f"ideal lattice of {ring.label}: size {ring.size} above cap {cfg.ideal_enum_cap}"
         )
     blocks = (
-        (ideal_generated(ring, side, [x], cfg).elements for x in np.unique(ring.mul_table[c]))
+        (ideal_generated(ring, side, [x]).elements for x in np.unique(ring.mul_table[c]))
         for c in central_primitive_idempotents(ring)
     )
     return [tuple(int(v) for v in part) for part in lattice(ring.add, ring.size, blocks)]
 
 
-def jacobson_radical(ring: FiniteRing, cfg: EngineConfig | None = None) -> Ideal:
+def jacobson_radical(ring: FiniteRing) -> Ideal:
     """J = {x : R*x is nil}, the largest nil left ideal of a finite ring,
     verified two-sided and nilpotent.  x is nilpotent iff x^(2^s) = 0 once
     2^s >= |R|, which s squarings of the table's diagonal decide.  J depends
@@ -220,12 +215,7 @@ def _snf_diagonal_with_left(rows: list[list[int]]) -> tuple[list[int], list[list
     return diag, u
 
 
-def quotient_ring(
-    ring: FiniteRing,
-    ideal: Ideal,
-    label: str | None = None,
-    cfg: EngineConfig | None = None,
-) -> FiniteRing:
+def quotient_ring(ring: FiniteRing, ideal: Ideal, label: str | None = None) -> FiniteRing:
     """Ring on the cosets of a two-sided ideal, with least-index representatives.
 
     The additive quotient group is re-presented as a product of cyclic groups
@@ -276,7 +266,7 @@ def quotient_ring(
 # -- ring predicates ------------------------------------------------------------
 
 
-def is_local(ring: FiniteRing, cfg: EngineConfig | None = None) -> Verdict:
+def is_local(ring: FiniteRing) -> Verdict:
     """Local iff the non-units form an additive subgroup (= the radical)."""
     if ring.size == 1:
         return Verdict(False, note="zero ring has no maximal ideal")
@@ -301,12 +291,12 @@ def is_local(ring: FiniteRing, cfg: EngineConfig | None = None) -> Verdict:
     return Verdict(True, witness=maximal, note="non-units form the unique maximal left ideal")
 
 
-def is_simple_ring(ring: FiniteRing, cfg: EngineConfig | None = None) -> Verdict:
+def is_simple_ring(ring: FiniteRing) -> Verdict:
     """Simple iff every nonzero element generates the whole ring two-sidedly."""
     if ring.size < 2:
         raise ValueError("simplicity needs a ring with 0 != 1")
     for x in range(1, ring.size):
-        ideal = ideal_generated(ring, "two-sided", [x], cfg)
+        ideal = ideal_generated(ring, "two-sided", [x])
         if not ideal.is_whole_ring:
             return Verdict(False, witness=ideal, note=f"element {x} generates a proper ideal")
     return Verdict(True, note="every nonzero element generates the whole ring")

@@ -281,9 +281,7 @@ def is_submodule(module: FiniteModule, elements: np.ndarray) -> bool:
     return bool(mask[module.act_table[np.ix_(module.ring._gens, elements)]].all())
 
 
-def all_submodules(
-    module: FiniteModule, cfg: EngineConfig | None = None, limit: int = 20_000
-) -> list[np.ndarray]:
+def all_submodules(module: FiniteModule, limit: int = 20_000) -> list[np.ndarray]:
     """Every submodule, sorted by size then elements, as sorted element indices:
     ``subgroup.lattice`` over the cyclic submodules R·x, x in c_b·M, one block
     per central primitive idempotent c_b.  More than ``limit`` submodules

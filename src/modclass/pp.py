@@ -227,7 +227,7 @@ def pp_subgroup_is_right_ideal(
     for x in sols:
         if int(x) not in reached:
             gens.append(int(x))
-            reached = set(ideal_generated(ring, "right", gens, cfg).elements)
+            reached = set(ideal_generated(ring, "right", gens).elements)
     return Verdict(True, witness=tuple(gens), note=f"right ideal with {len(sols)} elements")
 
 

@@ -54,10 +54,10 @@ class _CoverCount:
         return self.decomposition.sum_size(self.multiplicities)
 
 
-def _radical_parts(ring: FiniteRing, cfg: EngineConfig) -> tuple[np.ndarray, np.ndarray]:
+def _radical_parts(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     """J's membership mask over R and its additive generators, read off the
     radical kept on the ring."""
-    radical = jacobson_radical(ring, cfg)
+    radical = jacobson_radical(ring)
     in_radical = np.zeros(ring.size, dtype=bool)
     in_radical[list(radical.elements)] = True
     return in_radical, np.array(radical.generators, dtype=np.int64)
@@ -77,7 +77,7 @@ def _cover_count(module: FiniteModule, cfg: EngineConfig) -> _CoverCount:
     decomposition = primitive_decomposition(ring, cfg)
     if decomposition.sum_size(decomposition.multiplicities) != ring.size:
         raise ConsistencyError(f"{ring.label}: primitive classes do not cover the regular module")
-    in_radical, radical_gens = _radical_parts(ring, cfg)
+    in_radical, radical_gens = _radical_parts(ring)
     act, gens = module.act_table, np.array(module.gens)
     radical_span = span(module.add, module.size, act[radical_gens[:, None], gens].ravel())
     radical_size = np.count_nonzero(radical_span)
@@ -227,12 +227,14 @@ def is_flat_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Fla
     counted over the relations whose every cover digit lies in J.  A relation
     v in K ∩ J^g outside JK lies outside v_1 K + ... + v_g K ⊆ JK, so a
     non-flat M always has a witness: the first non-factoring relation.
+    The test needs no cap, since it works inside M's own presentation;
+    ``cfg`` is accepted so that all three module predicates take the same
+    arguments.
     """
-    cfg = cfg or DEFAULTS
     relations = module.relations
     if module.size == 1 or len(relations) == 1:
         return FlatnessReport(True, note="zero module" if module.size == 1 else "free presentation")
-    in_radical, radical_gens = _radical_parts(module.ring, cfg)
+    in_radical, radical_gens = _radical_parts(module.ring)
     k_gens = _relation_generators(module)
     products = module.cover_act(radical_gens[:, None, None], k_gens).ravel()
     jk = np.count_nonzero(span(module.cover_add, module.cover_size, products))

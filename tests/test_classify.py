@@ -169,7 +169,8 @@ class TestMatrixFamily:
         assert not certificate.claim("frees_not_elementary").holds
 
     def test_regular_is_p_power_holds_below_the_hom_cap(self):
-        # No hom search is needed: the isomorphism comes from corner isomorphisms.
+        # No hom search is needed: the isomorphism comes from the regular
+        # module's projective-cover section.
         _, certificate = classify_matrix_family(2, 2, DEFAULTS.with_overrides(max_homs=10))
         claim = certificate.claim("regular_is_p_power")
         assert claim.holds and claim.status == "verified"

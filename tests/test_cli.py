@@ -119,8 +119,9 @@ class TestCertificate:
         assert code == EXIT_SPEC
 
     def test_p_cubed_is_regular_in_bounded_memory(self):
-        # P^3 = M(3,GF(2)) is read off corner isomorphisms; building P^3 as a
-        # module would fill arrays over its 512^3-element free cover.
+        # P^3 = M(3,GF(2)) is read off the regular module's projective-cover
+        # section; building P^3 as a module would fill arrays over its
+        # 512^3-element free cover.
         script = (
             "import sys\n"
             "from modclass.cli import main\n"

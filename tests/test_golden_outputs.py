@@ -23,9 +23,22 @@ SPECS = ("Z/12", "T(2,GF(2))", "M(2,GF(3))", "GF(2) x M(2,GF(2))")
 # One spec per branch of the local / R/J-simple verdicts: k = 1 with r = 3,
 # local, not local with J != 0, and k = 2 (the negative-witness search).
 CLASSIFY_SPECS = ("M(3,GF(2))", "GF(256)", "M(2,Z/4)", "PolyQuot(GF(2),[1,0,0,1,0,0,0,0,0,1])")
-# The symbolic certificates carry the finite-field bridge; the finite ones
-# the enumerative pipeline.
-CERTIFICATES = (("1", "infinite"), ("2", "infinite"), ("3", "infinite"), ("2", "2"), ("3", "2"))
+# The symbolic certificates carry the finite-field bridge (empty for n = 4);
+# the finite ones the enumerative pipeline, with n = 1 the degenerate witness,
+# q = 3 an odd prime and q = 4 a non-prime field.
+CERTIFICATES = (
+    ("1", "infinite"),
+    ("2", "infinite"),
+    ("3", "infinite"),
+    ("4", "infinite"),
+    ("1", "2"),
+    ("2", "2"),
+    ("2", "3"),
+    ("2", "4"),
+    ("3", "2"),
+)
+# A module cap below |R| must not reach the certificate's regular module.
+CAPPED_CERTIFICATE = ["certificate", "--n", "2", "--field", "2", "--max-module", "8"]
 META_KEY = "run_meta_suite(seeds=(1,))"
 
 
@@ -34,6 +47,7 @@ def cli_commands() -> list[list[str]]:
     commands += [[command, spec] for command in ("decompose", "radical") for spec in SPECS]
     commands += [["classify", spec] for spec in CLASSIFY_SPECS]
     commands += [["certificate", "--n", n, "--field", field] for n, field in CERTIFICATES]
+    commands.append(CAPPED_CERTIFICATE)
     return commands
 
 
