@@ -69,15 +69,12 @@ def render_table(reports: list[ClassificationReport]) -> str:
 
 
 def _cfg_from_args(args) -> EngineConfig:
-    cfg = config_from_env(DEFAULTS)
-    overrides = {}
-    if getattr(args, "max_ring", None):
-        overrides["max_ring"] = args.max_ring
-    if getattr(args, "max_module", None):
-        overrides["max_module"] = args.max_module
-    if getattr(args, "max_homs", None):
-        overrides["max_homs"] = args.max_homs
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    caps = {cap: getattr(args, cap) for cap in ("max_ring", "max_module", "max_homs")}
+    caps = {cap: value for cap, value in caps.items() if value is not None}
+    for cap, value in caps.items():
+        if value < 1:
+            raise ValueError(f"--{cap.replace('_', '-')} must be positive, got {value}")
+    return config_from_env(DEFAULTS).with_overrides(**caps)
 
 
 def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,9 +85,10 @@ def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_classify(args) -> int:
     cfg = _cfg_from_args(args)
-    specs = list(args.spec)
-    if args.corpus:
-        specs = list(BUILTIN_CORPUS_SPECS)
+    if args.corpus and args.spec:
+        print("classify: give SPEC arguments or --corpus builtin, not both", file=sys.stderr)
+        return EXIT_SPEC
+    specs = list(BUILTIN_CORPUS_SPECS) if args.corpus else list(args.spec)
     if not specs:
         print("classify: no ring specs given (use SPEC arguments or --corpus builtin)", file=sys.stderr)
         return EXIT_SPEC

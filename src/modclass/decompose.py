@@ -15,7 +15,6 @@ from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SizeCapError
 from .modules import (
     FiniteModule,
-    _module_from_cover_map,
     find_bijective_hom,
     hom_candidate_blocks,
     submodule_as_module,
@@ -197,7 +196,7 @@ def _decompose(
 
     # P_i = R*e presented on one generator e: the cover map is r -> r*e.
     reps = [
-        _module_from_cover_map(ring, 1, ring.mul_table[:, group[0]], f"P{i + 1}({ring.label})", cfg)
+        FiniteModule(ring, 1, ring.mul_table[:, group[0]], f"P{i + 1}({ring.label})", cfg)
         for i, group in enumerate(groups)
     ]
     order_key = sorted(

@@ -2,10 +2,13 @@
 
 A module is the quotient of a free cover R^g by a relation submodule K.
 Elements of the free cover R^g are single integers with base-|R| digits as
-coordinates.  Every carrier comes from one additive map phi on the free cover
-whose kernel is K: the classes of phi are labeled 0..m-1 in order of their
-least cover index, so representatives are deterministic.  The action table
-is gathered off the free cover, r x = phi(r rep(x)).
+coordinates.  Every module is built by one constructor, ``FiniteModule``,
+from an additive map phi on the free cover whose kernel is K: the classes of
+phi are labeled 0..m-1 in order of their least cover index, so
+representatives are deterministic, and the carrier cap is checked there.
+Free modules, direct sums, submodules, quotients and the P_i = Re all pass
+their cover map.  The action table is gathered off the free cover,
+r x = phi(r rep(x)); the regular module shares both of the ring's tables.
 :func:`verify_module_axioms` checks it against the doubling fill of the
 action of R's additive generators, the one that also builds ring tables, and
 is exact at every size: additivity reduces the module laws to checks on
@@ -35,51 +38,56 @@ _SOLUTION_BLOCK = 1 << 14
 
 
 class FiniteModule:
-    """A finite left module with an explicit coset-representative carrier."""
+    """The finite left module R^g / ker(phi) for an additive map phi on the
+    free cover R^g, given as an array of |R|^g values.
+
+    This is the one constructor: the classes of phi are ranked by their least
+    cover index, which gives ``cls`` (cover index -> label), ``rep`` (label ->
+    least cover index), ``size`` and the relation submodule ``relations``
+    (the cover indices of class 0).  A carrier above ``cfg.max_module``
+    raises SizeCapError.  When g = 1 and K = 0 the ranking makes ``cls`` the
+    identity on R, and the module shares both of R's tables as its action
+    and addition tables.
+    """
 
     def __init__(
-        self,
-        ring: FiniteRing,
-        num_generators: int,
-        relations: np.ndarray,
-        cls: np.ndarray,
-        rep: np.ndarray,
-        label: str,
+        self, ring: FiniteRing, num_generators: int, phi, label: str, cfg: EngineConfig | None = None
     ):
+        cfg = cfg or DEFAULTS
+        phi = np.asarray(phi, dtype=np.int64)
+        cover = np.arange(len(phi))
+        first = np.full(int(phi.max()) + 1, len(phi))  # first[v]: the least w with phi(w) = v
+        np.minimum.at(first, phi, cover)
+        self.rep = np.flatnonzero(first[phi] == cover)
+        self.size = len(self.rep)
+        if self.size > cfg.max_module:
+            raise SizeCapError(f"{label}: module size {self.size} above cap {cfg.max_module}")
+        rank = np.empty_like(first)
+        rank[phi[self.rep]] = np.arange(self.size)
+        self.cls = rank[phi]
         self.ring = ring
         self.num_generators = int(num_generators)
-        self.relations = np.asarray(relations, dtype=np.int64)
-        self.cls = np.asarray(cls, dtype=np.int64)
-        self.rep = np.asarray(rep, dtype=np.int64)
-        self.size = len(self.rep)
         self.label = label
         self.cover_size = ring.size**self.num_generators
-        if self.size * len(self.relations) != self.cover_size:
-            raise ClosureError(
-                f"{label}: carrier size {self.size} x relations {len(self.relations)} "
-                f"!= cover {self.cover_size}"
-            )
-        one = ring.one
-        self.gens = tuple(
-            int(self.cls[one * ring.size**i]) for i in range(self.num_generators)
-        )
+        self.relations = np.flatnonzero(self.cls == 0)
+        basis = ring.one * np.eye(self.num_generators, dtype=np.int64)
+        self.gens = tuple(self.cls[self._cover_encode(basis)].tolist())
         self._act_table: np.ndarray | None = None
         self._add_table: np.ndarray | None = None
+        if self.num_generators == 1 and self.size == ring.size:
+            self._act_table, self._add_table = ring.mul_table, ring.add_table
         self._relation_gens: np.ndarray | None = None  # set by _relation_generators
         self._pp_masks: dict = {}  # filled by pp._solution_mask
 
     # -- free-cover arithmetic (indices with base-|R| digits) -------------------
 
     def _cover_digits(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=np.int64)
-        n = self.ring.size
-        powers = n ** np.arange(self.num_generators, dtype=np.int64)
-        return (w[..., None] // powers) % n
+        return _cover_digits(self.ring, self.num_generators, w)
 
     def _cover_encode(self, digits) -> np.ndarray:
-        n = self.ring.size
-        powers = n ** np.arange(self.num_generators, dtype=np.int64)
-        return (np.asarray(digits, dtype=np.int64) * powers).sum(axis=-1)
+        """The free-cover indices of digit vectors along the last axis."""
+        digits = np.asarray(digits, dtype=np.int64)
+        return (digits * self.ring.size ** np.arange(digits.shape[-1], dtype=np.int64)).sum(axis=-1)
 
     def cover_add(self, u, v) -> np.ndarray:
         du, dv = self._cover_digits(u), self._cover_digits(v)
@@ -96,26 +104,23 @@ class FiniteModule:
 
         Entry (r, x) is the class of r·rep[x] in the free cover, one gather
         per row block of at most ``_BLOCK`` entries; no addition table is
-        needed.  The regular module (one generator, no relations, so ``cls``
-        is the identity) shares the ring's multiplication table.
+        needed.  The regular module's is the ring's multiplication table.
         """
         if self._act_table is None:
             ring = self.ring
-            if self.num_generators == 1 and len(self.relations) == 1:
-                self._act_table = ring.mul_table
-            else:
-                table = np.empty((ring.size, self.size), dtype=np.int32)
-                step = max(1, _BLOCK // self.size)
-                for start in range(0, ring.size, step):
-                    rows = np.arange(start, min(start + step, ring.size))
-                    table[start : start + step] = self.cls[self.cover_act(rows[:, None, None], self.rep)]
-                self._act_table = table
+            table = np.empty((ring.size, self.size), dtype=np.int32)
+            step = max(1, _BLOCK // self.size)
+            for start in range(0, ring.size, step):
+                rows = np.arange(start, min(start + step, ring.size))
+                table[start : start + step] = self.cls[self.cover_act(rows[:, None, None], self.rep)]
+            self._act_table = table
         return self._act_table
 
     @property
     def add_table(self) -> np.ndarray | None:
         """(size, size) addition table up to ``_MODULE_ADD_TABLE_LIMIT``
-        elements, built in row blocks of at most ``_BLOCK`` entries."""
+        elements, built in row blocks of at most ``_BLOCK`` entries; the
+        regular module's is the ring's addition table, at every size."""
         if self._add_table is None and self.size <= _MODULE_ADD_TABLE_LIMIT:
             table = np.empty((self.size, self.size), dtype=np.int32)
             step = max(1, _BLOCK // self.size)
@@ -183,22 +188,22 @@ class FiniteModule:
         return f"FiniteModule({self.label!r}, size={self.size}, over={self.ring.label!r})"
 
 
-def _module_from_cover_map(
-    ring: FiniteRing, num_generators: int, phi: np.ndarray, label: str, cfg: EngineConfig
-) -> FiniteModule:
-    """The module R^g / ker(phi) for an additive map phi on the free cover.
+# -- the free cover R^g: indices with base-|R| digits as coordinates -------------
 
-    The classes of phi are the cosets of its kernel; ranking them by least
-    cover index labels cosets by ascending least representative.
-    """
-    _, first, inverse = np.unique(phi, return_index=True, return_inverse=True)
-    if len(first) > cfg.max_module:
-        raise SizeCapError(f"{label}: module size {len(first)} above cap {cfg.max_module}")
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    cls = rank[inverse]
-    return FiniteModule(ring, num_generators, np.flatnonzero(cls == 0), cls, first[order], label)
+
+def _cover_digits(ring: FiniteRing, g: int, w) -> np.ndarray:
+    """The base-|R| digits of free-cover indices w, along a new last axis of length g."""
+    w = np.asarray(w, dtype=np.int64)
+    return (w[..., None] // ring.size ** np.arange(g, dtype=np.int64)) % ring.size
+
+
+def _check_cover(ring: FiniteRing, g: int, label: str, cfg: EngineConfig) -> int:
+    """|R|^g, refused above max(max_module, max_homs): a presentation holds
+    arrays over its whole free cover."""
+    cover = ring.size**g
+    if cover > max(cfg.max_module, cfg.max_homs):
+        raise SizeCapError(f"{label}: free cover {cover} above cap")
+    return cover
 
 
 def free_module(ring: FiniteRing, rank: int, cfg: EngineConfig | None = None) -> FiniteModule:
@@ -208,11 +213,8 @@ def free_module(ring: FiniteRing, rank: int, cfg: EngineConfig | None = None) ->
         raise ValueError(f"rank must be nonnegative, got {rank}")
     size = ring.size**rank
     if size > cfg.max_module:
-        raise SizeCapError(
-            f"free module {ring.label}^{rank}: size {size} above cap {cfg.max_module}"
-        )
-    idx = np.arange(size, dtype=np.int64)
-    return FiniteModule(ring, rank, np.array([0]), idx, idx.copy(), f"{ring.label}^{rank}")
+        raise SizeCapError(f"free module {ring.label}^{rank}: size {size} above cap {cfg.max_module}")
+    return FiniteModule(ring, rank, np.arange(size), f"{ring.label}^{rank}", cfg)
 
 
 def regular_module(ring: FiniteRing, cfg: EngineConfig | None = None) -> FiniteModule:
@@ -243,7 +245,7 @@ def verify_module_axioms(module: FiniteModule) -> bool:
         return False
     if (module.add(table[ring.neg(gens)], rows) != 0).any():
         return False
-    cover_gens = gens[:, None] * ring.size ** np.arange(module.num_generators, dtype=np.int64)
+    cover_gens = module._cover_encode(gens[:, None, None] * np.eye(module.num_generators, dtype=np.int64))
     f = module.cls[cover_gens.ravel()]
     sums = module.add(np.arange(m)[:, None], f[None, :])
     if not np.array_equal(rows[:, sums], module.add(rows[:, :, None], rows[:, None, f])):
@@ -328,12 +330,8 @@ def submodule_as_module(
     g = len(gens)
     ring = module.ring
     label = label or f"sub[{len(elements)}]({module.label})"
-    cover = ring.size**g
-    if cover > max(cfg.max_module, cfg.max_homs):
-        raise SizeCapError(f"{label}: relation scan space {cover} above cap")
-    powers = ring.size ** np.arange(g, dtype=np.int64)
-    digits = (np.arange(cover, dtype=np.int64)[:, None] // powers) % ring.size
-    sub = _module_from_cover_map(ring, g, module.combine(digits.T, gens), label, cfg)
+    digits = _cover_digits(ring, g, np.arange(_check_cover(ring, g, label, cfg)))
+    sub = FiniteModule(ring, g, module.combine(digits.T, gens), label, cfg)
     if sub.size != len(elements):
         raise ClosureError(f"{label}: presentation size {sub.size} != submodule {len(elements)}")
     return sub
@@ -353,8 +351,7 @@ def quotient_module(
     if len(sub) == 1:
         return module
     label = label or f"({module.label})/[{len(sub)}]"
-    if module.cover_size > max(cfg.max_module, cfg.max_homs):
-        raise SizeCapError(f"{label}: free cover {module.cover_size} above cap")
+    _check_cover(module.ring, module.num_generators, label, cfg)
     # best[x] becomes the least label in x + N: doubling along each additive
     # generator h of N, whose order divides R's additive exponent.
     carrier = np.arange(module.size)
@@ -364,7 +361,7 @@ def quotient_module(
         for _ in range(rounds):
             best = np.minimum(best, best[module.add(carrier, h)])
             h = module.add(h, h)
-    return _module_from_cover_map(module.ring, module.num_generators, best[module.cls], label, cfg)
+    return FiniteModule(module.ring, module.num_generators, best[module.cls], label, cfg)
 
 
 def direct_sum(
@@ -374,21 +371,12 @@ def direct_sum(
     cfg = cfg or DEFAULTS
     if a.ring is not b.ring:
         raise ValueError(f"direct sum across rings {a.ring.label} vs {b.ring.label}")
-    size = a.size * b.size
-    if size > cfg.max_module:
-        raise SizeCapError(f"direct sum size {size} above cap {cfg.max_module}")
-    ring = a.ring
+    g = a.num_generators + b.num_generators
     label = f"{a.label} (+) {b.label}"
-    cover = a.cover_size * b.cover_size
-    if cover > max(cfg.max_module, cfg.max_homs):
-        raise SizeCapError(f"{label}: free cover {cover} above cap")
-    shift = a.cover_size
-    relations = (a.relations[None, :] + b.relations[:, None] * shift).ravel()
-    w = np.arange(cover, dtype=np.int64)
-    cls = a.cls[w % shift] + b.cls[w // shift] * a.size
-    ids = np.arange(size)
-    rep = a.rep[ids % a.size] + b.rep[ids // a.size] * shift
-    return FiniteModule(ring, a.num_generators + b.num_generators, np.unique(relations), cls, rep, label)
+    w = np.arange(_check_cover(a.ring, g, label, cfg), dtype=np.int64)
+    # The class of (x, y) has least cover index rep_a[x] + |cover a|·rep_b[y],
+    # so it is labelled x + |a|·y.
+    return FiniteModule(a.ring, g, a.cls[w % a.cover_size] + a.size * b.cls[w // a.cover_size], label, cfg)
 
 
 def zero_module(ring: FiniteRing, cfg: EngineConfig | None = None) -> FiniteModule:

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import modclass
 from modclass import BUILTIN_CORPUS_SPECS
@@ -74,6 +75,22 @@ class TestClassify:
     def test_no_specs(self, capsys):
         code, _, err = run_cli(capsys, "classify")
         assert code == EXIT_SPEC
+
+
+class TestCapFlags:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--max-ring", "--max-module", "--max-homs"])
+    def test_non_positive_cap_is_refused(self, capsys, flag, value):
+        # 0 used to mean the default and -1 to exhaust every cap.
+        code, out, err = run_cli(capsys, "classify", "Z/6", flag, value)
+        assert code == EXIT_SPEC and out == ""
+        assert f"{flag} must be positive, got {value}" in err
+
+    def test_specs_with_the_corpus_are_refused(self, capsys):
+        # The SPEC arguments used to be dropped without a word.
+        code, out, err = run_cli(capsys, "classify", "--corpus", "builtin", "Z/6")
+        assert code == EXIT_SPEC and out == ""
+        assert "not both" in err
 
 
 class TestEnvOverride:

@@ -27,6 +27,7 @@ from modclass import (
     submodule_as_module,
     verify_module_axioms,
     zero_module,
+    DEFAULTS,
     EngineConfig,
     FiniteModule,
     submodule_generated,
@@ -97,8 +98,7 @@ class TestConstruction:
     def test_carrier_of_a_non_submodule_is_rejected(self, m2f2):
         # K = {0, 1} is an additive subgroup of M(2,GF(2)) but not a left ideal.
         w = np.arange(m2f2.size)
-        rep, cls = np.unique(np.minimum(w, m2f2.add(w, 1)), return_inverse=True)
-        module = FiniteModule(m2f2, 1, np.array([0, 1]), cls, rep, "M(2,GF(2))/{0,1}")
+        module = FiniteModule(m2f2, 1, np.minimum(w, m2f2.add(w, 1)), "M(2,GF(2))/{0,1}")
         assert not verify_module_axioms(module)
 
     def test_sizes_multiply_through_quotients(self, corpus):
@@ -144,8 +144,53 @@ class TestActTable:
                 assert np.array_equal(module.add_table, sums), module.label
 
     def test_regular_module_shares_the_multiplication_table(self, corpus):
+        # And the addition table, also above the 2,048 elements up to which
+        # other modules build one.
+        for ring in [*corpus.values(), build_ring("Z/2500")]:
+            reg = regular_module(ring)
+            assert np.shares_memory(reg.act_table, ring.mul_table), ring.label
+            assert reg.add_table is ring.add_table, ring.label
+
+
+def pairwise_labels(a, b):
+    """The carrier of a (+) b written out pair by pair: (x, y) is x + |a|·y,
+    its least cover index rep_a[x] + |cover a|·rep_b[y]."""
+    shift = a.cover_size
+    w = np.arange(shift * b.cover_size)
+    ids = np.arange(a.size * b.size)
+    cls = a.cls[w % shift] + b.cls[w // shift] * a.size
+    rep = a.rep[ids % a.size] + b.rep[ids // a.size] * shift
+    relations = np.unique(a.relations[None, :] + b.relations[:, None] * shift)
+    return cls, rep, relations
+
+
+class TestLabelling:
+    def test_direct_sum_labels_are_pairwise(self, corpus):
+        checked = 0
         for ring in corpus.values():
-            assert np.shares_memory(regular_module(ring).act_table, ring.mul_table), ring.label
+            reg = regular_module(ring)
+            modules = [reg, *primitive_decomposition(ring).representatives]
+            proper = [sub for sub in all_submodules(reg) if 1 < len(sub) < reg.size]
+            modules += [quotient_module(reg, proper[0])] if proper else []
+            for a in modules:
+                for b in modules:
+                    if a.size * b.size > DEFAULTS.max_module:
+                        continue
+                    total = direct_sum(a, b)
+                    cls, rep, relations = pairwise_labels(a, b)
+                    assert np.array_equal(total.cls, cls), total.label
+                    assert np.array_equal(total.rep, rep), total.label
+                    assert np.array_equal(total.relations, relations), total.label
+                    checked += 1
+        assert checked > 50
+
+    def test_free_module_labels_are_cover_indices(self, corpus):
+        for ring in corpus.values():
+            for g in range(3):
+                if ring.size**g <= DEFAULTS.max_module:
+                    free = free_module(ring, g)
+                    assert np.array_equal(free.cls, np.arange(ring.size**g)), free.label
+                    assert np.array_equal(free.rep, free.cls) and list(free.relations) == [0], free.label
 
 
 def doubling_fill_act_table(module):
