@@ -39,7 +39,7 @@ from .ideals import (
 )
 from .modules import regular_module
 from .properties import is_free_module, is_projective_module
-from .rings import FiniteRing, galois_field, matrix_ring, verify_ring_axioms
+from .rings import FiniteRing, base_digits, galois_field, matrix_ring, verify_ring_axioms
 from .verdict import Verdict
 
 TRUE = "true"
@@ -150,7 +150,7 @@ def classify_ring(ring: FiniteRing, cfg: EngineConfig | None = None) -> Classifi
         simple = is_simple_ring(quotient_ring(ring, radical, label=f"({ring.label})/J"))
     if bool(local) != (multiplicities == (1,)) or bool(simple) != (k == 1):
         raise ConsistencyError(f"{ring.label}: local/simple predicates contradict r = {multiplicities}")
-    chains = chain_conditions(ring, cfg)
+    chains = chain_conditions(ring)
     structure = {
         "finite": True,
         "is_local": bool(local),
@@ -301,7 +301,7 @@ def _matrix_unit_identities(n: int, q: int) -> dict:
     # Corners are conjugate; one check suffices per size.  Sorted rows put the
     # zero matrix before E_11, so the corner's idempotents must be exactly those.
     e = diag[0]
-    every = ((np.arange(q ** (n * n))[:, None] // q ** np.arange(n * n)) % q).reshape(-1, n, n)
+    every = base_digits(np.arange(q ** (n * n)), q, n * n).reshape(-1, n, n)
     corner = np.unique(matmul(matmul(e, every), e).reshape(-1, n * n), axis=0).reshape(-1, n, n)
     corner_idem = corner[(matmul(corner, corner) == corner).all(axis=(1, 2))]
     ok_primitive = np.array_equal(corner_idem, np.stack([zero, e]))

@@ -19,7 +19,7 @@ from .classify import (
 from .config import DEFAULTS, EngineConfig, config_from_env
 from .corpus import BUILTIN_CORPUS_SPECS, builtin_corpus, run_meta_suite
 from .decompose import primitive_decomposition
-from .dsl import build_ring
+from .dsl import build_ring, struct_const_fields
 from .errors import ModclassError, RingSpecError, RingValidationError, SizeCapError
 from .ideals import jacobson_radical, radical_nilpotency_degree
 from .modules import regular_module
@@ -116,13 +116,9 @@ def cmd_classify(args) -> int:
 
 
 def _load_unchecked_ring(path: str) -> FiniteRing:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return FiniteRing(
-        tuple(int(n) for n in data["orders"]),
-        one=int(data["one"]),
-        label=f"unchecked:{path}",
-        mul_table=np.asarray(data["table"], dtype=np.int64),
-    )
+    label = f"unchecked:{path}"
+    orders, one, table = struct_const_fields(json.loads(Path(path).read_text(encoding="utf-8")), label)
+    return FiniteRing(orders, one, label, mul_table=np.asarray(table, dtype=np.int64))
 
 
 def cmd_check_paper(args) -> int:

@@ -12,14 +12,12 @@ class EngineConfig:
 
     ``max_ring`` bounds ring carriers at construction time, and with them
     the two N x N int32 tables (addition and multiplication) that every ring
-    carries.  ``ideal_enum_cap`` bounds full one-sided ideal lattice
-    enumeration.  ``max_module`` bounds module carriers and ``max_homs`` the
+    carries.  ``max_module`` bounds module carriers and ``max_homs`` the
     candidate space of a homomorphism enumeration.  Ring axiom checks are
     exact at every size and take no cap.
     """
 
     max_ring: int = 4096
-    ideal_enum_cap: int = 64
     max_module: int = 4096
     max_homs: int = 1_000_000
 

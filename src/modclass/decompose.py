@@ -20,7 +20,7 @@ from .modules import (
     submodule_as_module,
     submodule_generated,
 )
-from .rings import FiniteRing
+from .rings import FiniteRing, base_digits, base_index
 from .verdict import Verdict
 
 
@@ -293,17 +293,15 @@ def _find_splitting_idempotent(
     is evaluated for a whole block of candidate tuples at once.
     """
     g, size = module.num_generators, module.size
-    powers = [size**i for i in range(g)]
-    id_index = sum(gen * power for gen, power in zip(module.gens, powers))
     for block in hom_candidate_blocks(module, module, cfg, rng):
-        block = block[(block != 0) & (block != id_index)]
-        images = [(block // power) % size for power in powers]
+        block = block[(block != 0) & (block != base_index(module.gens, size))]
+        images = base_digits(block, size, g).T
         fixed = np.ones(len(block), dtype=bool)
         for y in images:
             fixed &= module.combine(module.coords(y).T, images) == y  # c_ji = coords(y_j)[i]
         hits = np.flatnonzero(fixed)
         if len(hits):
-            return tuple(int(y[hits[0]]) for y in images)
+            return tuple(images[:, hits[0]].tolist())
     return None
 
 
@@ -373,7 +371,7 @@ def is_isomorphic(
             return Verdict(True, witness=hom, note="isomorphism found by direct search")
         return Verdict(False, note="no bijective homomorphism exists")
     if sig_a == sig_b:
-        if a.size ** b.num_generators <= 100_000:
+        if b.size ** a.num_generators <= 100_000:  # the space find_bijective_hom(a, b) scans
             hom = find_bijective_hom(a, b, cfg)
             if hom is not None:
                 return Verdict(True, witness=hom, note="isomorphism realized explicitly")

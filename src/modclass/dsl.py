@@ -156,16 +156,20 @@ def load_struct_const(path: str | Path, cfg: EngineConfig | None = None) -> Fini
     return struct_const_from_dict(data, label=f"StructConst({path})", cfg=cfg)
 
 
-def struct_const_from_dict(
-    data: dict, label: str = "StructConst", cfg: EngineConfig | None = None
-) -> FiniteRing:
-    cfg = cfg or DEFAULTS
+def struct_const_fields(data, label: str) -> tuple:
+    """(orders, one, table) of a structure-constant JSON object, once its keys are checked."""
     if not isinstance(data, dict):
         raise RingSpecError(f"{label}: expected a JSON object")
     missing = {"orders", "one", "table"} - data.keys()
     if missing:
         raise RingSpecError(f"{label}: missing keys {sorted(missing)}")
-    return ring_from_tables(data["orders"], data["one"], data["table"], label=label, cfg=cfg)
+    return data["orders"], data["one"], data["table"]
+
+
+def struct_const_from_dict(
+    data: dict, label: str = "StructConst", cfg: EngineConfig | None = None
+) -> FiniteRing:
+    return ring_from_tables(*struct_const_fields(data, label), label=label, cfg=cfg or DEFAULTS)
 
 
 def build_ring(spec: str, cfg: EngineConfig | None = None) -> FiniteRing:

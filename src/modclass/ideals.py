@@ -13,7 +13,6 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .config import DEFAULTS, EngineConfig
 from .decompose import central_primitive_idempotents
 from .errors import ConsistencyError, SideError, SizeCapError
 from .rings import FiniteRing, unit_mask
@@ -21,6 +20,9 @@ from .subgroup import generators, lattice, span
 from .verdict import Verdict
 
 Side = Literal["left", "right", "two-sided"]
+
+# Rings above this size get no full one-sided ideal lattice.
+IDEAL_ENUM_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -61,18 +63,13 @@ def ideal_generated(ring: FiniteRing, side: Side, gens: Sequence[int]) -> Ideal:
     return Ideal(ring=ring, side=side, elements=elements, generators=tuple(int(g) for g in gens))
 
 
-def one_sided_ideals(
-    ring: FiniteRing, side: Side, cfg: EngineConfig | None = None
-) -> list[tuple[int, ...]]:
+def one_sided_ideals(ring: FiniteRing, side: Side) -> list[tuple[int, ...]]:
     """The full lattice of ideals of the given side (element-set tuples):
     ``subgroup.lattice`` over the cyclic ideals of x in c_b·R, one block per
-    central primitive idempotent c_b.  Guarded by the enumeration cap.
+    central primitive idempotent c_b.  Guarded by ``IDEAL_ENUM_CAP``.
     """
-    cfg = cfg or DEFAULTS
-    if ring.size > cfg.ideal_enum_cap:
-        raise SizeCapError(
-            f"ideal lattice of {ring.label}: size {ring.size} above cap {cfg.ideal_enum_cap}"
-        )
+    if ring.size > IDEAL_ENUM_CAP:
+        raise SizeCapError(f"ideal lattice of {ring.label}: size {ring.size} above cap {IDEAL_ENUM_CAP}")
     blocks = (
         (ideal_generated(ring, side, [x]).elements for x in np.unique(ring.mul_table[c]))
         for c in central_primitive_idempotents(ring)
@@ -306,7 +303,7 @@ def is_simple_ring(ring: FiniteRing) -> Verdict:
 class ChainConditionsReport:
     """Chain-condition predicates, trivially satisfied by finite rings.
 
-    When the carrier is within the enumeration cap the full right-ideal
+    When the carrier is within ``IDEAL_ENUM_CAP`` the full right-ideal
     lattice is attached as an explicit witness for the descending chain
     condition; above the cap only the rationale is reported.
     """
@@ -335,15 +332,14 @@ def _longest_chain(lattice: list[tuple[int, ...]]) -> int:
     return max(best, default=0)
 
 
-def chain_conditions(ring: FiniteRing, cfg: EngineConfig | None = None) -> ChainConditionsReport:
+def chain_conditions(ring: FiniteRing) -> ChainConditionsReport:
     """Right artinian / left perfect / right coherent verdicts with witnesses."""
-    cfg = cfg or DEFAULTS
     rationale = (
         "finite carrier: every descending chain of right ideals stabilizes, "
         "and the artinian condition carries perfectness and coherence with it"
     )
-    if ring.size <= cfg.ideal_enum_cap:
-        lattice = one_sided_ideals(ring, "right", cfg)
+    if ring.size <= IDEAL_ENUM_CAP:
+        lattice = one_sided_ideals(ring, "right")
         return ChainConditionsReport(
             right_artinian=True,
             left_perfect=True,

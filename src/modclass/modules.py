@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ClosureError, SizeCapError
-from .rings import FiniteRing, _add_rows, _fill
+from .rings import FiniteRing, _add_rows, _fill, base_digits, base_index
 from .subgroup import generators, lattice, span
 
 _MODULE_ADD_TABLE_LIMIT = 2048
@@ -82,12 +82,11 @@ class FiniteModule:
     # -- free-cover arithmetic (indices with base-|R| digits) -------------------
 
     def _cover_digits(self, w) -> np.ndarray:
-        return _cover_digits(self.ring, self.num_generators, w)
+        return base_digits(w, self.ring.size, self.num_generators)
 
     def _cover_encode(self, digits) -> np.ndarray:
         """The free-cover indices of digit vectors along the last axis."""
-        digits = np.asarray(digits, dtype=np.int64)
-        return (digits * self.ring.size ** np.arange(digits.shape[-1], dtype=np.int64)).sum(axis=-1)
+        return base_index(digits, self.ring.size)
 
     def cover_add(self, u, v) -> np.ndarray:
         du, dv = self._cover_digits(u), self._cover_digits(v)
@@ -189,12 +188,6 @@ class FiniteModule:
 
 
 # -- the free cover R^g: indices with base-|R| digits as coordinates -------------
-
-
-def _cover_digits(ring: FiniteRing, g: int, w) -> np.ndarray:
-    """The base-|R| digits of free-cover indices w, along a new last axis of length g."""
-    w = np.asarray(w, dtype=np.int64)
-    return (w[..., None] // ring.size ** np.arange(g, dtype=np.int64)) % ring.size
 
 
 def _check_cover(ring: FiniteRing, g: int, label: str, cfg: EngineConfig) -> int:
@@ -330,7 +323,7 @@ def submodule_as_module(
     g = len(gens)
     ring = module.ring
     label = label or f"sub[{len(elements)}]({module.label})"
-    digits = _cover_digits(ring, g, np.arange(_check_cover(ring, g, label, cfg)))
+    digits = base_digits(np.arange(_check_cover(ring, g, label, cfg)), ring.size, g)
     sub = FiniteModule(ring, g, module.combine(digits.T, gens), label, cfg)
     if sub.size != len(elements):
         raise ClosureError(f"{label}: presentation size {sub.size} != submodule {len(elements)}")
@@ -438,10 +431,6 @@ def hom_from_images(source: FiniteModule, target: FiniteModule, images: Sequence
     return ModuleHom(source, target, target.combine(digits.T, images))
 
 
-def _images_of(space_index: int, g: int, base: int) -> tuple[int, ...]:
-    return tuple((space_index // base**i) % base for i in range(g))
-
-
 def solution_blocks(
     module: FiniteModule,
     rows: np.ndarray,
@@ -470,7 +459,6 @@ def solution_blocks(
         while gcd(a, space) != 1:
             a = int(rng.integers(1, space))
         b = int(rng.integers(0, space))
-    powers = [m**j for j in range(width)]
     coefficient_rows = rows.tolist()
 
     def scan() -> Iterator[np.ndarray]:
@@ -478,7 +466,7 @@ def solution_blocks(
             block = np.arange(start, min(start + _SOLUTION_BLOCK, space), dtype=np.int64)
             if rng is not None:
                 block = (a * block + b) % space
-            ys = [(block // power) % m for power in powers]
+            ys = base_digits(block, m, width).T
             ok = np.ones(len(block), dtype=bool)
             for row in coefficient_rows:
                 ok &= module.combine(row, ys) == 0
@@ -510,9 +498,9 @@ def hom_enumerate(
 ) -> list[ModuleHom]:
     """All module maps source -> target, ordered by generator-image tuples."""
     return [
-        hom_from_images(source, target, _images_of(int(w), source.num_generators, target.size))
+        hom_from_images(source, target, images)
         for block in hom_candidate_blocks(source, target, cfg)
-        for w in block
+        for images in base_digits(block, target.size, source.num_generators)
     ]
 
 
@@ -524,8 +512,8 @@ def find_bijective_hom(
     if a.size != b.size:
         return None
     for block in hom_candidate_blocks(a, b, cfg):
-        for w in block:
-            hom = hom_from_images(a, b, _images_of(int(w), a.num_generators, b.size))
+        for images in base_digits(block, b.size, a.num_generators):
+            hom = hom_from_images(a, b, images)
             if hom.is_bijective:
                 return hom
     return None

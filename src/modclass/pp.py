@@ -13,7 +13,7 @@ from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SizeCapError
 from .ideals import ideal_generated
 from .modules import FiniteModule, regular_module, solution_blocks
-from .rings import FiniteRing
+from .rings import FiniteRing, base_digits, base_index
 from .subgroup import span
 from .verdict import Verdict
 
@@ -53,15 +53,20 @@ class PPFormula:
 
     @classmethod
     def from_json_dict(cls, data: dict, name: str = "") -> "PPFormula":
+        if not isinstance(data, dict):
+            raise ValueError("pp formula JSON must be an object")
         try:
-            return cls(
-                free=int(data["free"]),
-                bound=int(data["bound"]),
-                equations=tuple(tuple(int(c) for c in row) for row in data["eqs"]),
-                name=name or str(data.get("name", "")),
-            )
+            free, bound, rows = int(data["free"]), int(data["bound"]), data["eqs"]
         except KeyError as exc:
             raise ValueError(f"pp formula JSON missing key {exc}") from exc
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("pp formula JSON 'eqs' must be a list of coefficient lists")
+        return cls(
+            free=free,
+            bound=bound,
+            equations=tuple(tuple(int(c) for c in row) for row in rows),
+            name=name or str(data.get("name", "")),
+        )
 
 
 def _scalar_systems(ring: FiniteRing, systems) -> list[tuple[tuple[int, ...], ...]]:
@@ -160,10 +165,10 @@ def _solution_mask(module: FiniteModule, phi: PPFormula, cfg: EngineConfig) -> n
         raise SizeCapError(f"{what} {m**width} above cap {cfg.max_homs}")
     if residual.mask is None:
         mask = np.zeros(m**phi.free, dtype=bool)
-        outputs = residual.outputs.tolist()
+        coefficients = residual.outputs.T[:, :, None]  # (width, free, 1)
         for block in solution_blocks(module, residual.rows, cfg, what):
-            ys = [(block // m**j) % m for j in range(width)]
-            mask[sum(module.combine(out, ys) * m**j for j, out in enumerate(outputs))] = True
+            coords = module.combine(coefficients, base_digits(block, m, width).T)  # (free, len(block))
+            mask[base_index(coords.T, m)] = True
         mask.flags.writeable = False
         residual.mask = mask
     return residual.mask
@@ -174,11 +179,9 @@ def _check_subgroup(module: FiniteModule, mask: np.ndarray, p: int, label: str) 
     if not mask[0]:
         raise ConsistencyError(f"{label}: solution set does not contain zero")
     m = module.size
-    powers = m ** np.arange(p, dtype=np.int64)
 
     def add(u, v):  # coordinatewise addition of M^p tuple indices
-        du, dv = (np.asarray(w, dtype=np.int64)[..., None] // powers % m for w in (u, v))
-        return (np.asarray(module.add(du, dv), dtype=np.int64) * powers).sum(axis=-1)
+        return base_index(module.add(base_digits(u, m, p), base_digits(v, m, p)), m)
 
     if not np.array_equal(span(add, len(mask), np.flatnonzero(mask)), mask):
         raise ConsistencyError(f"{label}: solution set not closed under addition")

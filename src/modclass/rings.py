@@ -29,6 +29,23 @@ def _as_int32(a) -> np.ndarray:
     return np.asarray(a, dtype=np.int32)
 
 
+# -- the one positional encoding: indices whose base-b digits are coordinates ----
+
+
+def base_digits(w, base: int, n: int) -> np.ndarray:
+    """The n base-``base`` digits of each index in w, least significant first,
+    along a new last axis.  Free-cover indices (base |R|), tuples in M^n (base
+    |M|) and coefficient vectors (base q or p) all decode here."""
+    w = np.asarray(w, dtype=np.int64)
+    return (w[..., None] // np.array([base**i for i in range(n)], dtype=np.int64)) % base
+
+
+def base_index(digits, base: int) -> np.ndarray:
+    """Inverse of :func:`base_digits`: the index of each digit vector along the last axis."""
+    digits = np.asarray(digits, dtype=np.int64)
+    return digits @ np.array([base**i for i in range(digits.shape[-1])], dtype=np.int64)
+
+
 class FiniteRing:
     """A finite unital ring on the carrier {0, ..., size-1}.
 
@@ -59,8 +76,7 @@ class FiniteRing:
         self._orders_arr = np.array(orders, dtype=np.int64)
         self._weights = np.concatenate(([1], np.cumprod(self._orders_arr)[:-1]))
         # Decode table: row i is the mixed-radix digit vector of element i.
-        idx = np.arange(self.size, dtype=np.int64)
-        self._digits = (idx[:, None] // self._weights[None, :]) % self._orders_arr[None, :]
+        self._digits = self.decode(np.arange(self.size))
         # The additive generators e_i as element indices (0 where n_i = 1).
         self._gens = self.encode(np.eye(len(orders), dtype=np.int64))
 
@@ -374,30 +390,19 @@ def cyclic_ring(n: int, label: str | None = None, cfg: EngineConfig | None = Non
 # Polynomial helpers over the prime field F_p; coefficient tuples, index = degree.
 
 
-def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
 def _poly_mod(a, m, p: int) -> tuple[int, ...]:
+    """a mod m for a monic m, without trailing zero coefficients."""
     a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and any(a):
-        a = _poly_trim(tuple(a))
-        a = list(a)
-        if len(a) - 1 < dm:
+    while a:
+        if a[-1] == 0:
+            a.pop()
+        elif len(a) >= len(m):
+            q, shift = a[-1], len(a) - len(m)
+            for i, mi in enumerate(m):
+                a[shift + i] = (a[shift + i] - q * mi) % p
+        else:
             break
-        q = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - q * mi) % p
-        a = list(_poly_trim(tuple(a)))
-        if not a:
-            break
-    return _poly_trim(tuple(a))
+    return tuple(a)
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
@@ -408,14 +413,8 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     if deg == 1:
         return True
     for d in range(1, deg // 2 + 1):
-        for m in range(p**d):
-            coeffs = []
-            mm = m
-            for _ in range(d):
-                coeffs.append(mm % p)
-                mm //= p
-            g = tuple(coeffs) + (1,)
-            if not _poly_mod(f, g, p):
+        for coeffs in base_digits(np.arange(p**d), p, d).tolist():
+            if not _poly_mod(f, tuple(coeffs) + (1,), p):
                 return False
     return True
 
@@ -443,12 +442,7 @@ def least_irreducible_poly(p: int, k: int) -> tuple[int, ...]:
     term as the least significant base-p digit, so the choice is deterministic
     and independent of any published polynomial tables.
     """
-    for m in range(p**k):
-        coeffs = []
-        mm = m
-        for _ in range(k):
-            coeffs.append(mm % p)
-            mm //= p
+    for coeffs in base_digits(np.arange(p**k), p, k).tolist():
         f = tuple(coeffs) + (1,)
         if _is_irreducible(f, p):
             return f
@@ -565,7 +559,7 @@ def _poly_gen_products(scalars: FiniteRing, coeffs: list[int]) -> np.ndarray:
     for m1, (i, g1) in enumerate(gens):
         for m2, (j, g2) in enumerate(gens):
             prod = scalars.mul(g1, g2)
-            gp[m1, m2] = sum(scalars.mul(prod, int(c)) * s**t for t, c in enumerate(rem[i + j]))
+            gp[m1, m2] = base_index(scalars.mul(prod, rem[i + j]), s)
     return gp
 
 

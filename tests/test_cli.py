@@ -185,6 +185,14 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "ppval", "Z/4", "/nope/phi.json")
         assert code == EXIT_SPEC
 
+    @pytest.mark.parametrize("data", [[1, 2], {"free": 1, "bound": 0, "eqs": 5}, {"free": 1, "bound": 0, "eqs": [3]}])
+    def test_ppval_malformed_formula_is_a_spec_error(self, capsys, tmp_path, data):
+        formula = tmp_path / "phi.json"
+        formula.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "ppval", "Z/4", str(formula))
+        assert code == EXIT_SPEC
+        assert err.startswith("error: pp formula JSON")
+
 
 class TestCheckPaperNegativeControl:
     def test_corrupted_injection_names_the_ring(self, capsys, tmp_path):
@@ -199,3 +207,10 @@ class TestCheckPaperNegativeControl:
         assert code == EXIT_VIOLATIONS
         assert f"unchecked:{bad}" in out
         assert "ring-axioms: VIOLATED" in out
+
+    def test_injection_without_a_table_is_a_spec_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"orders": [2]}))
+        code, _, err = run_cli(capsys, "check-paper", "--seeds", "1", "--add-struct-const-unchecked", str(bad))
+        assert code == EXIT_SPEC
+        assert err == f"error: unchecked:{bad}: missing keys ['one', 'table']\n"

@@ -9,6 +9,8 @@ import pytest
 
 from modclass import (
     DEFAULTS,
+    DecompositionSignature,
+    ModuleHom,
     SizeCapError,
     build_ring,
     central_primitive_idempotents,
@@ -33,7 +35,7 @@ from modclass import (
 )
 from modclass import decompose, ideals
 from modclass.decompose import _find_splitting_idempotent
-from modclass.modules import _images_of, hom_candidate_blocks, hom_from_images
+from modclass.modules import hom_candidate_blocks, hom_from_images
 
 
 class TestIdempotents:
@@ -266,7 +268,7 @@ def per_tuple_splitting_idempotent(module):
     g = module.num_generators
     for block in hom_candidate_blocks(module, module):
         for w in block:
-            images = _images_of(int(w), g, module.size)
+            images = tuple((int(w) // module.size**i) % module.size for i in range(g))
             if images in ((0,) * g, module.gens):
                 continue
             table = hom_from_images(module, module, images).table
@@ -306,6 +308,14 @@ class TestIsIsomorphic:
         p1, p2 = decomposition.representatives
         verdict = is_isomorphic(p1, p2)
         assert not verdict.value
+
+    def test_explicit_search_is_guarded_by_its_own_space(self):
+        # Z/64 on one generator and on [1, 2, 4]: the search reg -> wide scans
+        # 64^1 generator-image tuples, wide -> reg scans 64^3 > 100_000.
+        reg = regular_module(build_ring("Z/64"))
+        wide = submodule_as_module(reg, np.arange(64), generators=[1, 2, 4])
+        assert isinstance(is_isomorphic(reg, wide).witness, ModuleHom)
+        assert isinstance(is_isomorphic(wide, reg).witness, DecompositionSignature)
 
     def test_different_rings_rejected(self, z4, z6):
         with pytest.raises(ValueError):

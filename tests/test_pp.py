@@ -62,6 +62,11 @@ class TestEvaluate:
         assert len(pp_evaluate(reg_z4, scalar_formula(z4, 1, 0, []))) == 4
         assert pp_evaluate(reg_z4, scalar_formula(z4, 1, 0, [[1]])).tolist() == [0]
 
+    def test_sentence_evaluates_to_the_empty_tuple(self, reg_z4):
+        # No free variable: M^0 has the one tuple, and y = 0 witnesses 2y = 0.
+        phi = PPFormula(free=0, bound=1, equations=((2,),))
+        assert pp_evaluate(reg_z4, phi).tolist() == [0]
+
     def test_two_free_variables(self, z4, reg_z4):
         # x1 = x2 defines the diagonal subgroup of M^2
         phi = scalar_formula(z4, 2, 0, [[1, -1]], name="diag")

@@ -33,7 +33,7 @@ from modclass import (
     zero_module,
 )
 from modclass import properties
-from modclass.modules import _images_of, _relation_generators, hom_candidate_blocks, hom_from_images
+from modclass.modules import _relation_generators, hom_candidate_blocks, hom_from_images
 from modclass.subgroup import span
 
 
@@ -49,7 +49,8 @@ def split_surjection_search(pi):
         for i, gen in enumerate(target.gens):
             block = block[pi.table[(block // source.size**i) % source.size] == gen]
         if len(block):
-            return hom_from_images(target, source, _images_of(int(block[0]), g, source.size))
+            images = [(int(block[0]) // source.size**i) % source.size for i in range(g)]
+            return hom_from_images(target, source, images)
     return None
 
 

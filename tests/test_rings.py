@@ -21,6 +21,7 @@ from modclass import (
     units,
     verify_ring_axioms,
 )
+from modclass.rings import base_digits, base_index
 
 
 def brute_force_units(ring):
@@ -174,6 +175,16 @@ class TestEncoding:
         ring = build_ring(spec)
         idx = np.arange(ring.size)
         assert np.array_equal(ring.encode(ring.decode(idx)), idx)
+
+    @pytest.mark.parametrize("base, n", [(1, 0), (1, 3), (2, 0), (2, 5), (3, 4), (7, 2), (64, 2)])
+    def test_base_digits_round_trip(self, base, n):
+        w = np.arange(base**n)
+        digits = base_digits(w, base, n)
+        assert digits.shape == (len(w), n)
+        assert digits.tolist() == [[(int(x) // base**i) % base for i in range(n)] for x in w]
+        assert np.array_equal(base_index(digits, base), w)
+        # Leading axes are kept: the digits go along a new last axis.
+        assert np.array_equal(base_digits(w[:, None], base, n)[:, 0], digits)
 
     def test_zero_is_index_zero(self, corpus):
         for ring in corpus.values():

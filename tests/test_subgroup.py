@@ -21,6 +21,7 @@ from modclass import (
     random_recipe_rings,
     regular_module,
 )
+from modclass.ideals import IDEAL_ENUM_CAP
 from modclass.subgroup import generators, lattice, span
 
 
@@ -95,7 +96,7 @@ def test_split_lattices_of_random_rings_match_unsplit(corpus):
     for ring in random_rings:
         reg = regular_module(ring)
         assert split_submodules(reg) == unsplit_submodules(reg), ring.label
-    small = [r for r in corpus.values() if r.size <= DEFAULTS.ideal_enum_cap]
+    small = [r for r in corpus.values() if r.size <= IDEAL_ENUM_CAP]
     for ring in small + random_rings:
         for side in ("left", "right", "two-sided"):
             assert one_sided_ideals(ring, side) == unsplit_ideals(ring, side), (ring.label, side)
