@@ -19,6 +19,8 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from .config import DEFAULTS, EngineConfig
 from .errors import RingSpecError, RingValidationError
 from .rings import (
@@ -163,7 +165,18 @@ def struct_const_fields(data, label: str) -> tuple:
     missing = {"orders", "one", "table"} - data.keys()
     if missing:
         raise RingSpecError(f"{label}: missing keys {sorted(missing)}")
-    return data["orders"], data["one"], data["table"]
+    orders, one = data["orders"], data["one"]
+    if not isinstance(orders, list) or not all(isinstance(n, (int, np.integer)) for n in orders):
+        raise RingSpecError(f"{label}: 'orders' must be a list of integers")
+    if not isinstance(one, (int, np.integer)):
+        raise RingSpecError(f"{label}: 'one' must be an integer")
+    try:
+        table = np.asarray(data["table"])
+    except ValueError:  # ragged rows
+        table = None
+    if table is None or table.ndim != 2 or table.dtype.kind not in "iu":
+        raise RingSpecError(f"{label}: 'table' must be a list of lists of integers")
+    return orders, one, table
 
 
 def struct_const_from_dict(

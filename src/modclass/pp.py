@@ -59,14 +59,15 @@ class PPFormula:
             free, bound, rows = int(data["free"]), int(data["bound"]), data["eqs"]
         except KeyError as exc:
             raise ValueError(f"pp formula JSON missing key {exc}") from exc
+        except TypeError as exc:
+            raise ValueError("pp formula JSON 'free' and 'bound' must be integers") from exc
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("pp formula JSON 'eqs' must be a list of coefficient lists")
-        return cls(
-            free=free,
-            bound=bound,
-            equations=tuple(tuple(int(c) for c in row) for row in rows),
-            name=name or str(data.get("name", "")),
-        )
+        try:
+            equations = tuple(tuple(int(c) for c in row) for row in rows)
+        except TypeError as exc:
+            raise ValueError("pp formula JSON 'eqs' must hold integer coefficients") from exc
+        return cls(free=free, bound=bound, equations=equations, name=name or str(data.get("name", "")))
 
 
 def _scalar_systems(ring: FiniteRing, systems) -> list[tuple[tuple[int, ...], ...]]:

@@ -5,8 +5,9 @@ projective cover P(M) = (+) P_i^a_i, with P_i = R e_i over one primitive
 idempotent e_i per class and M/JM = (+) S_i^a_i, and P(M) -> M has a
 superfluous kernel (Bass 1960; Anderson & Fuller, GTM 13, section 27).  So M
 is projective iff |P(M)| = |M|, and free of rank c iff it is projective with
-a_i = c r_i, where R = (+) P_i^r_i.  Each a_i is read off set sizes, and a
-"yes" carries a section of the free cover R^g -> M checked exactly.
+a_i = c r_i, where R = (+) P_i^r_i.  One greedy walk over the e_iM counts
+each a_i, and its picks build the section of a "yes": the cover indices s
+with cls∘s = id, checked exactly, with no module built for them.
 Krull-Schmidt and an exhaustive section search stay as test oracles.
 
 Flatness is decided by Tor.  With M = R^g / K, tensoring with R/J gives
@@ -26,32 +27,12 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError
-from .decompose import IdempotentDecomposition, _corner, primitive_decomposition
+from .decompose import IdempotentDecomposition, primitive_decomposition
 from .ideals import jacobson_radical
-from .modules import (
-    FiniteModule,
-    ModuleHom,
-    _relation_generators,
-    free_module,
-)
+from .modules import FiniteModule, _relation_generators
 from .rings import FiniteRing
 from .subgroup import grow, span
 from .verdict import Verdict
-
-
-@dataclass(frozen=True)
-class _CoverCount:
-    """The projective cover P(M) = (+) P_i^a_i of a module, by counting:
-    P_i and r_i (R = (+) P_i^r_i) come from ``decomposition``, the a_i are
-    ``multiplicities``, and ``radical_span`` marks JM in M's carrier."""
-
-    decomposition: IdempotentDecomposition
-    multiplicities: tuple[int, ...]
-    radical_span: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.decomposition.sum_size(self.multiplicities)
 
 
 def _radical_parts(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
@@ -63,15 +44,16 @@ def _radical_parts(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     return in_radical, np.array(radical.generators, dtype=np.int64)
 
 
-def _cover_count(module: FiniteModule, cfg: EngineConfig) -> _CoverCount:
-    """Count the a_i of M/JM = (+) S_i^a_i.
+def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposition, list[list[int]]]:
+    """R's decomposition and, per class i, the picks whose count is a_i.
 
-    e_i(M/JM) = (e_iM + JM) / JM is a vector space of dimension a_i over the
-    division ring D_i = e_iRe_i / e_iJe_i, so |e_iM + JM| / |JM| = |D_i|^a_i.
-    JM is spanned by J's additive generators acting on M's generators, and
-    e_iM by e_i times R's additive generators acting on them.  Counts that
-    contradict the theory raise ConsistencyError rather than give a verdict.
-    R's decomposition and J are computed once per ring and kept on it.
+    One greedy walk: starting from JM, scan e_iM class by class, least
+    element first, and pick each m not yet reached; what is reached then
+    grows by Rm.  Rm/Jm is a quotient of Re_i/Je_i = S_i and Jm lies in JM,
+    so each pick adds exactly one copy of S_i, and once every e_iM is reached
+    M/JM = (+) S_i^a_i with a_i the number of class-i picks.  Sizes that
+    contradict this raise ConsistencyError rather than give a verdict.  R's
+    decomposition and J are computed once per ring and kept on it.
     """
     ring = module.ring
     decomposition = primitive_decomposition(ring, cfg)
@@ -79,73 +61,40 @@ def _cover_count(module: FiniteModule, cfg: EngineConfig) -> _CoverCount:
         raise ConsistencyError(f"{ring.label}: primitive classes do not cover the regular module")
     in_radical, radical_gens = _radical_parts(ring)
     act, gens = module.act_table, np.array(module.gens)
-    radical_span = span(module.add, module.size, act[radical_gens[:, None], gens].ravel())
-    radical_size = np.count_nonzero(radical_span)
-    multiplicities = []
+    reached = span(module.add, module.size, act[radical_gens[:, None], gens].ravel())
+    picks = []
     for e, *_ in decomposition.classes:
-        corner = _corner(ring, e)
-        division = len(corner) // np.count_nonzero(in_radical[corner])
-        mask = radical_span.copy()
-        for x in act[ring.mul_table[e, ring._gens][:, None], gens].ravel():
-            if not mask[x]:
-                grow(module.add, mask, x)
-        quotient = np.count_nonzero(mask) // radical_size
-        a = 0
-        while quotient % division == 0 and quotient > 1:
-            quotient //= division
-            a += 1
-        if quotient != 1:
-            raise ConsistencyError(
-                f"{module.label}: |e M + JM| / |JM| for e = {e} is not a power of |D| = {division}"
-            )
-        multiplicities.append(a)
-    count = _CoverCount(decomposition, tuple(multiplicities), radical_span)
-    if count.size % module.size:
-        raise ConsistencyError(
-            f"{module.label}: projective cover of size {count.size} cannot map onto {module.size} elements"
-        )
-    return count
-
-
-def _cover_section(module: FiniteModule, count: _CoverCount, cfg: EngineConfig) -> ModuleHom:
-    """A section of the canonical surjection R^g -> M of a projective M.
-
-    Picks m in e_iM greedily, least index first, until their images span each
-    e_i(M/JM); then phi: (+) R e_i -> M, r e_i -> r m is onto by Nakayama and
-    bijective by the count.  Its lift psi: r e_i -> r e_i rep[m] into the free
-    cover satisfies cls∘psi = phi, so s = psi∘phi^-1 is a section.
-    """
-    ring = module.ring
-    act, mul = module.act_table, ring.mul_table
-    # M's presentation already holds arrays over the whole free cover, so the
-    # cover as a module costs no more than M and is not capped a second time.
-    cover = free_module(
-        ring, module.num_generators, cfg.with_overrides(max_module=max(cfg.max_module, module.cover_size))
-    )
-    reached = count.radical_span.copy()
-    phi = np.zeros(1, dtype=np.int64)
-    psi = np.zeros((1, module.num_generators), dtype=np.int64)  # cover digits
-    for (e, *_), a in zip(count.decomposition.classes, count.multiplicities):
-        column = np.unique(mul[:, e])
-        candidates = np.unique(act[e])
-        for _ in range(a):
-            candidates = candidates[~reached[candidates]]
-            if len(candidates) == 0:
-                break
-            m = int(candidates[0])
-            for x in act[ring._gens, m]:
-                if not reached[x]:
+        column = np.unique(ring.mul_table[:, e])  # Re_i, with Je_i = J ∩ Re_i
+        simple = len(column) // np.count_nonzero(in_radical[column])  # |S_i|
+        before = np.count_nonzero(reached)
+        picks.append([])
+        for m in np.unique(act[e]).tolist():
+            if not reached[m]:
+                for x in act[ring._gens, m]:
                     grow(module.add, reached, x)
-            phi = module.add(phi[:, None], act[column, m][None, :]).ravel()
-            lifted = mul[column[:, None], module.coords(m)]
-            psi = ring.add_table[psi[:, None], lifted[None, :]].reshape(len(phi), -1)
-    if len(phi) != module.size or len(np.unique(phi)) != module.size:
-        raise ConsistencyError(f"{module.label}: (+) P_i^a_i -> M is not a bijection")
-    table = np.empty(module.size, dtype=np.int64)
-    table[phi] = module._cover_encode(psi)
-    if not np.array_equal(module.cls[table], np.arange(module.size)):
-        raise ConsistencyError(f"{module.label}: the cover section does not split R^g -> M")
-    return ModuleHom(module, cover, table)
+                picks[-1].append(m)
+        if np.count_nonzero(reached) != before * simple ** len(picks[-1]):
+            raise ConsistencyError(f"{module.label}: the picks in e M for e = {e} do not each add |S| = {simple}")
+    size = decomposition.sum_size(map(len, picks))
+    if not reached.all() or size % module.size:
+        raise ConsistencyError(f"{module.label}: projective cover of size {size} does not map onto M")
+    return decomposition, picks
+
+
+def _kernel_verdict(
+    module: FiniteModule, decomposition: IdempotentDecomposition, picks: list[list[int]]
+) -> Verdict | None:
+    """The "no" of both predicates, when |P(M)| > |M|: the size of the kernel of P(M) -> M."""
+    multiplicities = tuple(map(len, picks))
+    size = decomposition.sum_size(multiplicities)
+    if size == module.size:
+        return None
+    return Verdict(
+        False,
+        witness=size // module.size,
+        note=f"not projective: the projective cover, multiplicities {multiplicities}, has "
+        f"{size} elements, so its kernel onto M has {size // module.size}",
+    )
 
 
 def is_free_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Verdict:
@@ -153,11 +102,11 @@ def is_free_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Ver
     cfg = cfg or DEFAULTS
     if module.size == 1:
         return Verdict(True, witness=0, note="zero module is free of rank 0")
-    count = _cover_count(module, cfg)
-    if count.size != module.size:
-        return Verdict(False, witness=count.size // module.size, note=_kernel_note(count, module))
-    decomposition = count.decomposition
-    pairs = list(zip(decomposition.sizes, count.multiplicities, decomposition.multiplicities))
+    decomposition, picks = _cover(module, cfg)
+    no = _kernel_verdict(module, decomposition, picks)
+    if no is not None:
+        return no
+    pairs = list(zip(decomposition.sizes, map(len, picks), decomposition.multiplicities))
     size, a, r = pairs[0]
     c, remainder = divmod(a, r)
     if remainder:
@@ -179,27 +128,41 @@ def is_free_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Ver
 def is_projective_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Verdict:
     """Projective iff |M| equals the size of its projective cover.
 
-    A "yes" carries an exactly checked section of the canonical surjection
-    from the free cover; a "no" carries the size of the cover's kernel.
+    A "yes" carries a section of the canonical surjection cls: R^g -> M, as
+    the array s of cover indices with cls∘s = id, checked exactly.  The picks
+    m give phi: (+) R e_i -> M, r e_i -> r m, onto by Nakayama and bijective
+    by the count; its lift psi: r e_i -> r e_i rep[m] into the free cover
+    satisfies cls∘psi = phi, so s = psi∘phi^-1.  A "no" carries the size of
+    the cover's kernel.
     """
     cfg = cfg or DEFAULTS
     if module.size == 1:
         return Verdict(True, note="zero module is projective")
-    count = _cover_count(module, cfg)
-    if count.size != module.size:
-        return Verdict(False, witness=count.size // module.size, note=_kernel_note(count, module))
+    decomposition, picks = _cover(module, cfg)
+    no = _kernel_verdict(module, decomposition, picks)
+    if no is not None:
+        return no
+    ring = module.ring
+    act, mul = module.act_table, ring.mul_table
+    phi = np.zeros(1, dtype=np.int64)
+    psi = np.zeros((1, module.num_generators), dtype=np.int64)  # cover digits
+    for (e, *_), class_picks in zip(decomposition.classes, picks):
+        column = np.unique(mul[:, e])
+        for m in class_picks:
+            phi = module.add(phi[:, None], act[column, m][None, :]).ravel()
+            lifted = mul[column[:, None], module.coords(m)]
+            psi = ring.add_table[psi[:, None], lifted[None, :]].reshape(len(phi), -1)
+    if len(phi) != module.size or len(np.unique(phi)) != module.size:
+        raise ConsistencyError(f"{module.label}: (+) P_i^a_i -> M is not a bijection")
+    section = np.empty(module.size, dtype=np.int64)
+    section[phi] = module._cover_encode(psi)
+    if not np.array_equal(module.cls[section], np.arange(module.size)):
+        raise ConsistencyError(f"{module.label}: the cover section does not split R^g -> M")
     return Verdict(
         True,
-        witness=_cover_section(module, count, cfg),
-        note=f"isomorphic to its projective cover, multiplicities {count.multiplicities}; "
+        witness=section,
+        note=f"isomorphic to its projective cover, multiplicities {tuple(map(len, picks))}; "
         "splitting verified",
-    )
-
-
-def _kernel_note(count: _CoverCount, module: FiniteModule) -> str:
-    return (
-        f"not projective: the projective cover, multiplicities {count.multiplicities}, has "
-        f"{count.size} elements, so its kernel onto M has {count.size // module.size}"
     )
 
 

@@ -151,22 +151,6 @@ class FiniteRing:
         out = self.mul_table[a, b]
         return int(out) if np.ndim(out) == 0 else out
 
-    def _mul_bilinear(self, a, b):
-        """a * b from the generator products alone: the kernel of :func:`materialize`."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        t = len(self.orders)
-        da, db = np.broadcast_arrays(self.decode(a), self.decode(b))
-        shape = da.shape[:-1]
-        da = da.reshape(-1, t)
-        db = db.reshape(-1, t)
-        # digit d of a*b = sum over (i,j) of a_i b_j (e_i e_j)_d, a flat matmul
-        coef = (da[:, :, None] * db[:, None, :]).reshape(-1, t * t)
-        gp_digits = self.decode(self.gen_products).reshape(t * t, t)
-        digits = coef @ gp_digits
-        out = self.encode(digits.reshape(shape + (t,)))
-        return int(out) if np.ndim(out) == 0 else out
-
     # -- misc ----------------------------------------------------------------
 
     @property
@@ -231,14 +215,16 @@ def _add_rows(add: np.ndarray):
 def materialize(ring: FiniteRing) -> np.ndarray:
     """The multiplication table of a ring from its generator products.
 
-    The generator rows e_i * b come from the bilinear evaluation; every other
-    row follows by row(a + k e_i) = row(a) + k (e_i * b).  Also builds the
-    addition table, which the fill needs.
+    Column b of the generator rows e_i * b is the sum of b_j (e_i e_j), a
+    fill over the generator products; every other row follows by
+    row(a + k e_i) = row(a) + k (e_i * b).  Also builds the addition table,
+    which both fills need.
     """
-    add = ring._add_table = _addition_table(ring)
-    idx = np.arange(ring.size, dtype=np.int64)
-    gen_rows = _as_int32([ring._mul_bilinear(int(g), idx) for g in ring._gens])
-    return _fill(ring, np.zeros(ring.size, dtype=np.int32), gen_rows, _add_rows(add))
+    ring._add_table = _addition_table(ring)
+    add = _add_rows(ring._add_table)
+    t = len(ring.orders)
+    gen_rows = _fill(ring, np.zeros(t, dtype=np.int32), ring.gen_products.T, add).T
+    return _fill(ring, np.zeros(ring.size, dtype=np.int32), gen_rows, add)
 
 
 # -- axiom verification --------------------------------------------------------

@@ -185,7 +185,16 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "ppval", "Z/4", "/nope/phi.json")
         assert code == EXIT_SPEC
 
-    @pytest.mark.parametrize("data", [[1, 2], {"free": 1, "bound": 0, "eqs": 5}, {"free": 1, "bound": 0, "eqs": [3]}])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            {"free": 1, "bound": 0, "eqs": 5},
+            {"free": 1, "bound": 0, "eqs": [3]},
+            {"free": None, "bound": 0, "eqs": []},
+            {"free": 1, "bound": 0, "eqs": [[None]]},
+        ],
+    )
     def test_ppval_malformed_formula_is_a_spec_error(self, capsys, tmp_path, data):
         formula = tmp_path / "phi.json"
         formula.write_text(json.dumps(data))
@@ -214,3 +223,22 @@ class TestCheckPaperNegativeControl:
         code, _, err = run_cli(capsys, "check-paper", "--seeds", "1", "--add-struct-const-unchecked", str(bad))
         assert code == EXIT_SPEC
         assert err == f"error: unchecked:{bad}: missing keys ['one', 'table']\n"
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"orders": 5, "one": 0, "table": [[0]]}, "orders"),
+            ({"orders": [1], "one": None, "table": [[0]]}, "one"),
+            ({"orders": [1], "one": 0, "table": [[None]]}, "table"),
+            ({"orders": [2], "one": 1, "table": [[0], [0, 1]]}, "table"),
+        ],
+    )
+    def test_wrong_json_types_are_a_spec_error(self, capsys, tmp_path, data, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "check-paper", "--seeds", "1", "--add-struct-const-unchecked", str(bad))
+        assert code == EXIT_SPEC
+        assert err.startswith(f"error: unchecked:{bad}: '{field}' must be")
+        code, _, err = run_cli(capsys, "classify", f"StructConst({bad})")
+        assert code == EXIT_SPEC
+        assert err.startswith(f"error: StructConst({bad}): '{field}' must be")

@@ -8,6 +8,8 @@ import pytest
 
 from modclass import (
     ConsistencyError,
+    EngineConfig,
+    FiniteModule,
     Ideal,
     ModuleHom,
     all_submodules,
@@ -201,8 +203,8 @@ class TestProjectivity:
         verdict = is_projective_module(p)
         assert verdict.value
         section = verdict.witness
-        assert isinstance(section, ModuleHom)
-        assert np.array_equal(p.cls[section.table], np.arange(p.size))
+        assert isinstance(section, np.ndarray) and section.dtype == np.int64
+        assert np.array_equal(p.cls[section], np.arange(p.size))
 
     def test_square_of_product_ring_decided_at_default_caps(self, corpus):
         # The End(M) search on this module has 2^20 candidates, above max_homs;
@@ -211,9 +213,7 @@ class TestProjectivity:
         square = direct_sum(regular_module(ring), regular_module(ring))
         verdict = is_projective_module(square)
         assert verdict.value
-        section = verdict.witness
-        assert isinstance(section, ModuleHom) and section.is_valid()
-        assert np.array_equal(square.cls[section.table], np.arange(square.size))
+        assert_section_splits(square, verdict.witness)
         free = is_free_module(square)
         assert free.value and free.witness == 2
 
@@ -228,8 +228,40 @@ class TestProjectivity:
         assert module.cover_size > 4096
         verdict = is_projective_module(module)
         assert verdict.value
-        assert np.array_equal(module.cls[verdict.witness.table], np.arange(module.size))
+        assert np.array_equal(module.cls[verdict.witness], np.arange(module.size))
         assert is_free_module(module).witness == 2
+
+    def test_the_verdict_builds_no_module(self, monkeypatch, corpus):
+        # The section is an array of cover indices: no module is built for
+        # its target, so no cap is raised for it either.
+        ring = corpus["GF(2) x M(2,GF(2))"]
+        primitive_decomposition(ring)
+        square = direct_sum(regular_module(ring), regular_module(ring))
+        module = submodule_as_module(
+            square, np.arange(square.size), generators=[*square.gens, 5]
+        )
+        built = []
+        init = FiniteModule.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteModule, "__init__", counting_init)
+        verdict = is_projective_module(module, EngineConfig(max_module=module.size))
+        assert verdict.value and not built
+        assert_section_splits(module, verdict.witness)
+
+
+def assert_section_splits(module, section):
+    """cls∘s = id, and s is R-linear into the free cover: s(x + y) = s(x) + s(y)
+    and s(r·x) = r·s(x) over the whole carrier."""
+    x = np.arange(module.size)
+    assert section.dtype == np.int64 and np.array_equal(module.cls[section], x)
+    sums = module.add(x[:, None], x[None, :])
+    assert np.array_equal(section[sums], module.cover_add(section[:, None], section[None, :]))
+    r = np.arange(module.ring.size)
+    assert np.array_equal(section[module.act_table], module.cover_act(r[:, None, None], section))
 
 
 def _signature_verdicts(module):
