@@ -15,7 +15,7 @@ import numpy as np
 
 from .decompose import central_primitive_idempotents
 from .errors import ConsistencyError, SideError, SizeCapError
-from .rings import FiniteRing, unit_mask
+from .rings import FiniteRing, row_blocks, unit_mask
 from .subgroup import generators, lattice, span
 from .verdict import Verdict
 
@@ -90,19 +90,26 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
 
 def _radical(ring: FiniteRing) -> Ideal:
     mul = ring.mul_table
-    powers = np.arange(ring.size)
-    for _ in range((ring.size - 1).bit_length()):
+    n = ring.size
+    powers = np.arange(n)
+    for _ in range((n - 1).bit_length()):
         powers = mul[powers, powers]
-    in_radical = (powers == 0)[mul].all(axis=0)
-    elements = np.nonzero(in_radical)[0]
+    nil = powers == 0
+    in_radical = np.ones(n, dtype=bool)
+    for block in row_blocks(n, n):
+        in_radical &= nil[mul[block]].all(axis=0)
+    elements = np.flatnonzero(in_radical)
 
     # The elements x with R*x nil must already form a two-sided ideal;
     # anything else means the ring tables are corrupt.
-    sums = ring.add(elements[:, None], elements[None, :])
-    left = mul[:, elements]
-    right = mul[elements, :]
-    for arr, what in ((sums, "addition"), (left, "left multiples"), (right, "right multiples")):
-        if not in_radical[arr].all():
+    k = len(elements)
+    checks = (
+        ("addition", k, k, lambda b: ring.add_table[np.ix_(elements[b], elements)]),
+        ("left multiples", n, k, lambda b: mul[b, elements]),
+        ("right multiples", k, n, lambda b: mul[elements[b]]),
+    )
+    for what, rows, width, block_of in checks:
+        if not all(in_radical[block_of(b)].all() for b in row_blocks(rows, width)):
             raise ConsistencyError(
                 f"jacobson_radical({ring.label}): nil left-ideal set not closed under {what}"
             )
@@ -268,17 +275,18 @@ def is_local(ring: FiniteRing) -> Verdict:
     if ring.size == 1:
         return Verdict(False, note="zero ring has no maximal ideal")
     um = unit_mask(ring)
-    nonunits = np.nonzero(~um)[0]
-    sums = ring.add(nonunits[:, None], nonunits[None, :])
-    bad = np.argwhere(um[sums])
-    if bad.size:
-        i, j = bad[0]
-        witness = (int(nonunits[i]), int(nonunits[j]))
-        return Verdict(
-            False,
-            witness=witness,
-            note=f"non-units {witness[0]} + {witness[1]} = {sums[i, j]} is a unit",
-        )
+    nonunits = np.flatnonzero(~um)
+    for block in row_blocks(len(nonunits), len(nonunits)):
+        sums = ring.add_table[np.ix_(nonunits[block], nonunits)]
+        bad = um[sums]
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), len(nonunits))
+            witness = (int(nonunits[block][i]), int(nonunits[j]))
+            return Verdict(
+                False,
+                witness=witness,
+                note=f"non-units {witness[0]} + {witness[1]} = {sums[i, j]} is a unit",
+            )
     maximal = Ideal(
         ring=ring,
         side="left",

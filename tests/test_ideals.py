@@ -1,6 +1,7 @@
 """Ideals, the Jacobson radical, quotient rings, and ring predicates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from modclass import (
     FiniteRing,
     SideError,
     all_submodules,
+    build_ring,
     chain_conditions,
     galois_field,
     ideal_generated,
@@ -25,6 +27,7 @@ from modclass import (
     regular_module,
     units,
 )
+from modclass.rings import unit_mask
 
 
 def maximal_ideals(ring, side):
@@ -144,6 +147,25 @@ class TestRadical:
         with pytest.raises(ConsistencyError, match="not closed under addition"):
             jacobson_radical(corrupt)
 
+    @pytest.mark.parametrize("n", [4, 1024])
+    @pytest.mark.parametrize("what", ["addition", "left multiples", "right multiples"])
+    def test_nil_set_not_an_ideal_rejected(self, n, what):
+        # 1 is idempotent, every other x has x^2 = 0.  With 1 * 1 = 1 alone the
+        # nil set is all but 1, and 2 + (n - 1) = 1.  With 1 * b = 1 for odd b
+        # it is the even elements, and one entry 3, which is nilpotent but odd,
+        # makes a left or a right multiple leave it.  At n = 1024 every check
+        # runs over several row blocks, and the entry sits in the last one.
+        table = np.zeros((n, n), dtype=np.int64)
+        table[1, 1 if what == "addition" else slice(1, None, 2)] = 1
+        if what == "left multiples":
+            table[n - 1, 2] = 3
+        if what == "right multiples":
+            table[n - 2, 3] = 3
+        corrupt = FiniteRing((n,), one=1, label=f"corrupt{n}", mul_table=table)
+        message = f"jacobson_radical(corrupt{n}): nil left-ideal set not closed under {what}"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            jacobson_radical(corrupt)
+
 
 class TestQuotientRing:
     def test_z4_mod_radical_is_f2(self, z4):
@@ -206,6 +228,17 @@ class TestPredicates:
         a, b = verdict.witness
         assert (a + b) % 6 in units(z6)
         assert is_local(gf4).value
+
+    def test_is_local_witness_is_the_first_bad_pair(self):
+        # 1,536 non-units: their sums are checked in row blocks, and the
+        # witness is still the first pair in row-major order.
+        ring = build_ring("GF(2) x Z/1024")
+        unit = unit_mask(ring)
+        nonunits = np.flatnonzero(~unit)
+        i, j = np.argwhere(unit[ring.add_table[np.ix_(nonunits, nonunits)]])[0]
+        verdict = is_local(ring)
+        assert not verdict
+        assert verdict.witness == (nonunits[i], nonunits[j])
 
     def test_is_simple(self, m2f2, z6):
         assert is_simple_ring(m2f2).value

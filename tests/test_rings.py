@@ -1,5 +1,7 @@
 """Ring construction, axiom verification, units, and the spec DSL."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,8 @@ from modclass import (
     units,
     verify_ring_axioms,
 )
-from modclass.rings import base_digits, base_index
+from modclass.ideals import _radical, is_local
+from modclass.rings import RingAxiomReport, _fill, _witnesses, base_digits, base_index
 
 
 def brute_force_units(ring):
@@ -44,6 +47,54 @@ def bilinear_products(ring, a, b):
     coef = (da.reshape(-1, t, 1) * db.reshape(-1, 1, t)).reshape(-1, t * t)
     digits = coef @ ring.decode(ring.gen_products).reshape(t * t, t)
     return ring.encode(digits.reshape(shape + (t,)))
+
+
+def two_fill_report(ring):
+    """Oracle: each law checked over the whole table with N x N masks.  The
+    table is compared with the doubling fill of its own generator rows, and
+    its transpose with that of its generator columns."""
+    gens = ring._gens
+    idx = np.arange(ring.size, dtype=np.int64)
+    table, add = ring.mul_table, ring.add_table
+
+    def vanishes(x):  # n_i * x[i, b] == 0 for each generator i
+        return (ring.decode(x) * ring._orders_arr[:, None, None] % ring._orders_arr == 0).all(axis=-1)
+
+    def fill(gen_rows):
+        return _fill(ring, np.zeros(ring.size, dtype=np.int32), gen_rows, lambda rows, s: add[rows, s])
+
+    rows, cols, gp = table[gens], table[:, gens].T, ring.gen_products
+    checks = [
+        ("right_order", ~vanishes(rows), (gens, idx)),
+        ("left_order", ~vanishes(cols).T, (idx, gens)),
+        ("right_distributivity", table != fill(rows), (idx, idx)),
+        ("left_distributivity", (table.T != fill(cols)).T, (idx, idx)),
+        ("associativity", table[gp[:, :, None], gens] != table[gens[:, None, None], gp], (gens, gens, gens)),
+        ("identity", (table[ring.one, gens] != gens) | (table[gens, ring.one] != gens), (gens,)),
+    ]
+    failed = {kind for kind, bad, _ in checks if bad.any()}
+    return RingAxiomReport(
+        size=ring.size,
+        has_identity="identity" not in failed,
+        associative="associativity" not in failed,
+        left_distributive=not failed & {"left_order", "left_distributivity"},
+        right_distributive=not failed & {"right_order", "right_distributivity"},
+        checked_triples=len(gens) ** 3,
+        failures=[w for kind, bad, labels in checks for w in _witnesses(kind, bad, *labels)],
+    )
+
+
+def relabeled(ring, rng):
+    """The table of ring on a carrier permuted by a random pi fixing 0, with
+    the additive orders left as they are: pi(a) * pi(b) = pi(a * b)."""
+    pi = np.concatenate(([0], 1 + rng.permutation(ring.size - 1)))
+    inv = np.argsort(pi)
+    return pi[ring.mul_table[np.ix_(inv, inv)]], int(pi[ring.one])
+
+
+@pytest.fixture(scope="module")
+def m2gf8():
+    return build_ring("M(2,GF(8))")
 
 
 class TestConstructions:
@@ -140,9 +191,103 @@ class TestConstructions:
         assert report.right_distributive and report.associative and report.has_identity
         assert ("left_distributivity", 2, 3) in report.failures
 
+    def test_left_but_not_right_distributive(self):
+        # The transpose of the table above: additive in the right argument by
+        # construction, but (e_0 + e_1) * e_1 = 1 while e_0 * e_1 + e_1 * e_1 = 2.
+        g = (0, 2, 0, 1)
+        table = [[(a if b & 1 else 0) ^ (g[a] if b & 2 else 0) for b in range(4)] for a in range(4)]
+        ring = FiniteRing((2, 2), 1, "ldist", mul_table=table)
+        report = verify_ring_axioms(ring)
+        assert report == two_fill_report(ring)
+        assert not report.right_distributive
+        assert report.left_distributive and report.associative and report.has_identity
+        assert ("right_distributivity", 3, 2) in report.failures
+
+    def test_corrupted_generator_row(self, corpus):
+        ring = corpus["M(2,GF(3))"]
+        table = ring.mul_table.copy()
+        e = int(ring._gens[2])
+        table[e, 40] = (table[e, 40] + 1) % ring.size
+        bad = FiniteRing(ring.orders, ring.one, "bad row", mul_table=table)
+        report = verify_ring_axioms(bad)
+        assert report == two_fill_report(bad)
+        assert not report.right_distributive and not report.left_distributive
+        assert ("right_distributivity", e + 1, 40) in report.failures
+
+    def test_corrupted_entry_off_the_generator_rows(self, m2gf8):
+        # 4096 elements, t = 12: the one bad entry is found by the pass over
+        # the table's own rows, not by the checks on generators.
+        table = m2gf8.mul_table.copy()
+        assert 3000 not in m2gf8._gens and 1234 not in m2gf8._gens
+        table[3000, 1234] ^= 1
+        bad = FiniteRing(m2gf8.orders, m2gf8.one, "bad entry", mul_table=table)
+        report = verify_ring_axioms(bad)
+        assert report == two_fill_report(bad)
+        assert not report.right_distributive and not report.left_distributive
+        assert ("right_distributivity", 3000, 1234) in report.failures
+
+    def test_reports_match_two_fill_oracle(self, corpus):
+        # Seeded corruptions: single entries, entries of a generator row or
+        # column, and relabeled carriers; every report, witnesses and their
+        # order included, is the oracle's.
+        rng = np.random.default_rng(22)
+        rings = list(corpus.values()) + [build_ring("Z/2 x M(2,Z/4)")]
+        rejected = 0
+        for ring in rings:
+            n, gens = ring.size, ring._gens
+            tables = [(ring.mul_table, ring.one)]
+            for k in range(12):
+                table = ring.mul_table.copy()
+                a, b = rng.integers(n, size=2)
+                if k % 3 == 1:
+                    a = rng.choice(gens)
+                elif k % 3 == 2:
+                    b = rng.choice(gens)
+                table[a, b] = (table[a, b] + rng.integers(1, n)) % n
+                tables.append((table, ring.one))
+            tables += [relabeled(ring, rng) for _ in range(3)]
+            for table, one in tables:
+                candidate = FiniteRing(ring.orders, one, "candidate", mul_table=table)
+                report = verify_ring_axioms(candidate)
+                assert report == two_fill_report(candidate), (ring.label, report.summary())
+                rejected += not report.ok
+        assert rejected >= 12 * len(rings)
+
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             cyclic_ring(5000, cfg=EngineConfig(max_ring=4096))
+
+
+class TestPeakMemory:
+    """Validation, the radical and the unit checks run in row blocks: at the
+    4096-element cap none allocates an N x N temporary (16 MB as int32)."""
+
+    LIMIT_MB = 16
+
+    @pytest.mark.parametrize("spec, unit_count", [("Z/4096", 2048), ("M(2,GF(8))", 63 * 56)])
+    def test_below_one_table_above_the_tables(self, spec, unit_count, m2gf8):
+        ring = m2gf8 if spec == "M(2,GF(8))" else build_ring(spec)
+        ring._units = None
+        calls = {
+            "verify_ring_axioms": lambda: verify_ring_axioms(ring),
+            "_radical": lambda: _radical(ring),
+            "units": lambda: units(ring),
+            "is_local": lambda: is_local(ring),
+        }
+        results, peaks = {}, {}
+        tracemalloc.start()
+        try:
+            for name, call in calls.items():
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                results[name] = call()
+                peaks[name] = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert results["verify_ring_axioms"].ok
+        assert len(results["units"]) == unit_count
+        assert bool(results["is_local"]) == (spec == "Z/4096")
+        assert all(mb < self.LIMIT_MB for mb in peaks.values()), peaks
 
 
 class TestUnits:
