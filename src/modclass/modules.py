@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ClosureError, SizeCapError
-from .rings import FiniteRing, _add_rows, _fill, base_digits, base_index
+from .rings import FiniteRing, _add_rows, base_digits, base_index, rows_additive
 from .subgroup import generators, lattice, span
 
 _MODULE_ADD_TABLE_LIMIT = 2048
@@ -130,7 +130,9 @@ class FiniteModule:
         return self._add_table
 
     def _add_op(self):
-        """Addition for ``rings._fill``: a bare gather when the table exists."""
+        """Addition as an op rows + s of ``rings._fill``: a bare gather when the
+        table exists.  Module labels are ranked, not bit fields, so there is
+        no lane sum here."""
         table = self.add_table
         return self.add if table is None else _add_rows(table)
 
@@ -220,8 +222,9 @@ def verify_module_axioms(module: FiniteModule) -> bool:
     With e_i the additive generators of R, of orders n_i, and F the images of
     the free cover's generators, which generate M additively:
 
-    - the table is the doubling fill of its own rows e_i x, and
-      (-e_i) x = -(e_i x), i.e. n_i (e_i x) = 0: together (r + s) x = r x + s x;
+    - (-e_i) x = -(e_i x), i.e. n_i (e_i x) = 0, and each row r x is the sum
+      of r_i (e_i x) (``rings.rows_additive``, in row blocks of the table):
+      together (r + s) x = r x + s x;
     - e_i (x + f) = e_i x + e_i f for every x and every f in F: since every
       row is a sum of generator rows, r (x + y) = r x + r y;
     - (e_i e_j) f = e_i (e_j f) and 1 f = f for f in F, which suffices since
@@ -234,9 +237,9 @@ def verify_module_axioms(module: FiniteModule) -> bool:
         return False
     gens = ring._gens
     rows = table[gens]  # e_i x
-    if not np.array_equal(table, _fill(ring, np.zeros(m, dtype=np.int32), rows, module._add_op())):
-        return False
     if (module.add(table[ring.neg(gens)], rows) != 0).any():
+        return False
+    if not rows_additive(ring, table, module._add_op()):
         return False
     cover_gens = module._cover_encode(gens[:, None, None] * np.eye(module.num_generators, dtype=np.int64))
     f = module.cls[cover_gens.ravel()]

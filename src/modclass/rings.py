@@ -15,6 +15,11 @@ own rows and builds the doubling fills only to find the witnesses of a law
 that fails.  Validation, the units and the radical pass over a table in row
 blocks of at most ``_FILL_BLOCK`` entries (:func:`row_blocks`), so a table
 that passes is checked without an N x N temporary.
+
+The fills and the validation add ring elements with one op chosen from the
+additive orders alone (:func:`_add_op`).  When every n_i is a power of two,
+the digits of an index are bit fields and all of them are added at once by
+a lane sum on the indices; every other ring gathers from its addition table.
 """
 
 from __future__ import annotations
@@ -190,11 +195,14 @@ def row_blocks(rows: int, width: int) -> Iterator[slice]:
 def _fill(ring: FiniteRing, row0: np.ndarray, gen_rows: np.ndarray, op) -> np.ndarray:
     """The (N, len(row0)) table whose row a is row0 'plus' a_i times gen_rows[i].
 
-    ``op(rows, step)`` adds the row ``step`` to each of ``rows``.  Rows are
-    filled in index order: once the rows with every digit from i on zero are
-    done, the rows whose i-th digit lies in [m, 2m) are op(rows with digit
-    i in [0, m), m * gen_rows[i]), so generator i takes log2(n_i) doubling
-    steps.  Each step runs in row blocks of at most ``_FILL_BLOCK`` entries.
+    ``op(rows, step)`` adds the row ``step`` to each of ``rows``: the ring's
+    addition from :func:`_add_op`, or composition with a translation for the
+    addition table of a ring whose additive group is not a 2-group.  Rows
+    are filled in index order: once the rows with every digit from i on zero
+    are done, the rows whose i-th digit lies in [m, 2m) are op(rows with
+    digit i in [0, m), m * gen_rows[i]), so generator i takes log2(n_i)
+    doubling steps.  Each step runs in row blocks of at most ``_FILL_BLOCK``
+    entries.
     """
     out = np.empty((ring.size, len(row0)), dtype=np.int32)
     out[0] = row0
@@ -203,16 +211,52 @@ def _fill(ring: FiniteRing, row0: np.ndarray, gen_rows: np.ndarray, op) -> np.nd
         while m < order:
             for rows in row_blocks(min(m, order - m) * w, len(row0)):
                 out[m * w + rows.start : m * w + rows.stop] = op(out[rows], step)
-            step = op(step, step)
             m *= 2
+            if m < order:
+                step = op(step, step)
     return out
 
 
 def _addition_table(ring: FiniteRing) -> np.ndarray:
+    row0 = np.arange(ring.size, dtype=np.int32)
+    lane = _lane_sum(ring.orders)
+    if lane is not None:
+        # Row a + e_i is row a plus the constant e_i.
+        return _fill(ring, row0, _as_int32(ring._gens[:, None]), lane)
     # Row a + e_i is row a composed with the translation b -> b + e_i.
     units = np.eye(len(ring.orders), dtype=np.int64)
     shifts = _as_int32([ring.encode(ring._digits + d) for d in units])
-    return _fill(ring, np.arange(ring.size, dtype=np.int32), shifts, lambda rows, s: s[rows])
+    return _fill(ring, row0, shifts, lambda rows, s: s[rows])
+
+
+def _lane_sum(orders: Sequence[int]):
+    """The op rows + s of :func:`_fill` on element indices when every n_i is
+    a power of two, else None.
+
+    Digit i of an index is then the bit field [log2 w_i, log2 w_i n_i), and
+    ((x & L) + (y & L)) ^ ((x ^ y) & H) adds every field mod n_i at once,
+    with H the top bit of each field and L its other bits: the low bits carry
+    into the top bit, and a carry out of it is dropped.  With every n_i = 2,
+    L = 0 and the sum is x ^ y.
+    """
+    if any(n & (n - 1) for n in orders):
+        return None
+    high = low = 0
+    w = 1  # the weight of digit i, its field's lowest bit
+    for n in orders:
+        if n > 1:
+            high |= w * n // 2
+            low |= w * n // 2 - w
+        w *= n
+
+    def op(rows, s):
+        out = (rows & low) + (s & low)
+        top = rows ^ s
+        top &= high
+        out ^= top
+        return out
+
+    return op
 
 
 def _add_rows(add: np.ndarray):
@@ -228,16 +272,25 @@ def _add_rows(add: np.ndarray):
     return op
 
 
+def _add_op(ring: FiniteRing):
+    """The ring's addition as an op rows + s of :func:`_fill`, chosen from the
+    additive orders alone: the lane sum of :func:`_lane_sum` when every n_i
+    is a power of two, else one gather from the addition table."""
+    return _lane_sum(ring.orders) or _add_rows(ring.add_table)
+
+
 def materialize(ring: FiniteRing) -> np.ndarray:
     """The multiplication table of a ring from its generator products.
 
     Column b of the generator rows e_i * b is the sum of b_j (e_i e_j), a
     fill over the generator products; every other row follows by
-    row(a + k e_i) = row(a) + k (e_i * b).  Also builds the addition table,
-    which both fills need.
+    row(a + k e_i) = row(a) + k (e_i * b).  Both fills add with
+    :func:`_add_op`: lane by lane when the additive group is a 2-group,
+    else by a gather from the addition table.  Also builds the addition
+    table first (:func:`_addition_table`).
     """
     ring._add_table = _addition_table(ring)
-    add = _add_rows(ring._add_table)
+    add = _add_op(ring)
     t = len(ring.orders)
     gen_rows = _fill(ring, np.zeros(t, dtype=np.int32), ring.gen_products.T, add).T
     return _fill(ring, np.zeros(ring.size, dtype=np.int32), gen_rows, add)
@@ -301,37 +354,54 @@ def _witnesses(kind: str, bad: np.ndarray, *labels: np.ndarray) -> list[tuple]:
 
 
 def _vanishes(ring: FiniteRing, x: np.ndarray) -> np.ndarray:
-    """n_i * x[i, b] == 0 for each generator i and each b."""
-    return (ring.decode(x) * ring._orders_arr[:, None, None] % ring._orders_arr == 0).all(axis=-1)
+    """n_i * x[i, b] == 0 for each generator i and each b: the additive order
+    of x[i, b], the lcm over its digits d_j of n_j / gcd(d_j, n_j), divides n_i."""
+    orders = ring._orders_arr
+    element_orders = np.lcm.reduce(orders // np.gcd(ring._digits, orders), axis=-1)
+    return orders[:, None] % element_orders[x] == 0
+
+
+def rows_additive(ring: FiniteRing, table: np.ndarray, add) -> bool:
+    """Whether each row a of an (N, width) table is the sum of a_i times
+    row(e_i), i.e. the doubling fill of its generator rows: row 0 is 0 and
+    row(a) = row(a - e_i) + row(e_i) for every a != 0, with i the highest
+    nonzero digit of a.
+
+    By induction on a each row is then that sum, and conversely.  The rows a
+    with highest digit i are the block [w_i, w_i n_i), so both terms are read
+    in row blocks of the table itself; ``add`` is an op rows + s of
+    :func:`_fill`.
+    """
+    if table[0].any():
+        return False
+    for w, order in zip(ring._weights.tolist(), ring.orders):
+        for block in row_blocks(w * (order - 1), table.shape[1]):
+            if not np.array_equal(table[w + block.start : w + block.stop], add(table[block], table[w])):
+                return False
+    return True
 
 
 def _distributive(ring: FiniteRing) -> bool:
     """Both order laws and both distributive laws, decided exactly without a fill.
 
-    Right distributivity holds iff row 0 is 0 and row(a) = row(a - e_i) +
-    row(e_i) for every a != 0, with i the highest nonzero digit of a: by
-    induction on a, each row is then the sum of a_i (e_i * b).  The rows a
-    with highest digit i are a block [w_i, w_i n_i) of the table, so both
-    terms are read in row blocks of the table itself.  Given right
-    distributivity every row is a sum of generator rows, so left
-    distributivity holds iff each generator row b -> e_i * b is additive:
-    e_i * 0 = 0 and e_i * (b + e_j) = e_i * b + e_i * e_j for all b and j.
+    Right distributivity is :func:`rows_additive` on the table.  Given it,
+    every row is a sum of generator rows, so left distributivity holds iff
+    each generator row b -> e_i * b is additive: e_i * 0 = 0 and
+    e_i * (b + e_j) = e_i * b + e_i * e_j for all b and j.
     """
     table, gens = ring.mul_table, ring._gens
-    add = _add_rows(ring.add_table)
+    add = _add_op(ring)
     rows = table[gens]  # e_i * b
     if not (_vanishes(ring, rows).all() and _vanishes(ring, table[:, gens].T).all()):
         return False
-    if table[0].any() or rows[:, 0].any():
+    if rows[:, 0].any():
         return False
-    for g in gens:
-        if not np.array_equal(rows[:, ring.add_table[:, g]], add(rows, rows[:, g, None])):
+    # Row j of shifted is b + e_j for every b.
+    shifted = add(np.repeat(np.arange(ring.size, dtype=np.int32)[None], len(gens), axis=0), gens[:, None])
+    for b_plus_g, g in zip(shifted, gens):
+        if not np.array_equal(rows[:, b_plus_g], add(rows, rows[:, g, None])):
             return False
-    for w, order in zip(ring._weights.tolist(), ring.orders):
-        for block in row_blocks(w * (order - 1), ring.size):
-            if not np.array_equal(table[w + block.start : w + block.stop], add(table[block], table[w])):
-                return False
-    return True
+    return rows_additive(ring, table, add)
 
 
 def _distributivity_failures(ring: FiniteRing) -> list[tuple]:
@@ -344,7 +414,7 @@ def _distributivity_failures(ring: FiniteRing) -> list[tuple]:
     rows = table[gens]  # e_i * b
     cols = table[:, gens].T  # b * e_j, one row per j
     zeros = np.zeros(ring.size, dtype=np.int32)
-    add = _add_rows(ring.add_table)
+    add = _add_op(ring)
     failures = _witnesses("right_order", ~_vanishes(ring, rows), gens, idx)
     failures += _witnesses("left_order", ~_vanishes(ring, cols).T, idx, gens)
     failures += _witnesses("right_distributivity", table != _fill(ring, zeros, rows, add), idx, idx)

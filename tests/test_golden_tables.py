@@ -9,10 +9,12 @@ identity index.  Re-record it (only when a table change is intended) with
 import hashlib
 import json
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from modclass import BUILTIN_CORPUS_SPECS, build_ring, random_recipe_rings
+from modclass.rings import _add_rows, _lane_sum
 
 GOLDEN = Path(__file__).parent / "data" / "golden_tables.json"
 
@@ -50,12 +52,16 @@ def _entry(name: str, ring) -> dict:
     }
 
 
+def golden_rings() -> Iterator[tuple[str, object]]:
+    """(name, ring) for every ring whose tables are recorded, built afresh."""
+    yield from ((spec, build_ring(spec)) for spec in BUILTIN_CORPUS_SPECS)
+    yield from ((r.label, r) for r in random_recipe_rings(100, seed=0))
+    yield from ((spec, build_ring(spec)) for spec in _fields())
+    yield from ((spec, build_ring(spec)) for spec in RING_SCALE_SPECS)
+
+
 def golden_entries() -> list[dict]:
-    entries = [_entry(spec, build_ring(spec)) for spec in BUILTIN_CORPUS_SPECS]
-    entries += [_entry(r.label, r) for r in random_recipe_rings(100, seed=0)]
-    entries += [_entry(spec, build_ring(spec)) for spec in _fields()]
-    entries += [_entry(spec, build_ring(spec)) for spec in RING_SCALE_SPECS]
-    return entries
+    return [_entry(name, ring) for name, ring in golden_rings()]
 
 
 def test_tables_match_golden():
@@ -64,6 +70,29 @@ def test_tables_match_golden():
     assert [e["name"] for e in got] == [e["name"] for e in expected]
     mismatched = [g["name"] for g, e in zip(got, expected) if g != e]
     assert not mismatched, mismatched
+
+
+def test_lane_sum_matches_gather():
+    # Every recorded ring whose additive orders are powers of two, and two
+    # that mix lane widths: the lane sum, the gather from the addition table
+    # and the digitwise sum agree on random row blocks.
+    rng = np.random.default_rng(23)
+    rings = [ring for _, ring in golden_rings() if _lane_sum(ring.orders) is not None]
+    assert set(RING_SCALE_SPECS) <= {ring.label for ring in rings}
+    rings += [build_ring("Z/2 x M(2,Z/4)"), build_ring("Z/8 x Z/2 x Z/2")]
+    for ring in rings:
+        lane, gather = _lane_sum(ring.orders), _add_rows(ring.add_table)
+        rows = rng.integers(ring.size, size=(8, ring.size), dtype=np.int32)
+        step = rng.integers(ring.size, size=ring.size, dtype=np.int32)
+        expected = ring.encode(ring.decode(rows) + ring.decode(step))
+        assert np.array_equal(lane(rows, step), expected), ring.label
+        assert np.array_equal(gather(rows, step), expected), ring.label
+        assert np.array_equal(lane(step, step), gather(step, step)), ring.label
+
+
+def test_odd_orders_select_the_gather():
+    for spec in ("Z/12", "GF(9) x Z/4"):
+        assert _lane_sum(build_ring(spec).orders) is None, spec
 
 
 if __name__ == "__main__":

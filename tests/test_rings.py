@@ -24,6 +24,7 @@ from modclass import (
     verify_ring_axioms,
 )
 from modclass.ideals import _radical, is_local
+from modclass.modules import regular_module, verify_module_axioms
 from modclass.rings import RingAxiomReport, _fill, _witnesses, base_digits, base_index
 
 
@@ -258,9 +259,18 @@ class TestConstructions:
             cyclic_ring(5000, cfg=EngineConfig(max_ring=4096))
 
 
+def traced_peak_mb(call):
+    """call() and the peak of the memory it allocates, in MB."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 class TestPeakMemory:
     """Validation, the radical and the unit checks run in row blocks: at the
-    4096-element cap none allocates an N x N temporary (16 MB as int32)."""
+    4096-element cap none allocates an N x N temporary (64 MB as int32)."""
 
     LIMIT_MB = 16
 
@@ -275,19 +285,30 @@ class TestPeakMemory:
             "is_local": lambda: is_local(ring),
         }
         results, peaks = {}, {}
-        tracemalloc.start()
-        try:
-            for name, call in calls.items():
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                results[name] = call()
-                peaks[name] = (tracemalloc.get_traced_memory()[1] - before) / 2**20
-        finally:
-            tracemalloc.stop()
+        for name, call in calls.items():
+            results[name], peaks[name] = traced_peak_mb(call)
         assert results["verify_ring_axioms"].ok
         assert len(results["units"]) == unit_count
         assert bool(results["is_local"]) == (spec == "Z/4096")
         assert all(mb < self.LIMIT_MB for mb in peaks.values()), peaks
+
+    @pytest.mark.parametrize("spec", ["M(2,GF(8))", "PolyQuot(GF(2),[1,0,0,1,0,0,0,0,0,0,0,0,1])"])
+    def test_order_laws_without_a_digit_cube(self, spec, m2gf8):
+        # t = 12: the order laws read the additive order of each entry, not
+        # the (t, N, t) digits of all generator rows (4.7 MB here).
+        ring = m2gf8 if spec == "M(2,GF(8))" else build_ring(spec)
+        report, mb = traced_peak_mb(lambda: verify_ring_axioms(ring))
+        assert report.ok
+        assert mb < 4, mb
+
+    def test_regular_module_axioms_in_row_blocks(self):
+        # The module's own rows are checked in blocks, not against a
+        # |R| x |M| doubling fill.
+        module = regular_module(build_ring("Z/4096"))
+        module.act_table, module.add_table  # the tables, built before tracing
+        ok, mb = traced_peak_mb(lambda: verify_module_axioms(module))
+        assert ok
+        assert mb < self.LIMIT_MB, mb
 
 
 class TestUnits:
