@@ -122,11 +122,13 @@ def _load_unchecked_ring(path: str) -> FiniteRing:
 
 
 def cmd_check_paper(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be positive, got {args.seeds}")
     cfg = _cfg_from_args(args)
     rings = builtin_corpus(cfg)
     for path in args.add_struct_const_unchecked or []:
         rings.append(_load_unchecked_ring(path))
-    seeds = tuple(range(1, max(1, args.seeds) + 1))
+    seeds = tuple(range(1, args.seeds + 1))
     result = run_meta_suite(cfg, rings=rings, seeds=seeds)
     for section in result.meta:
         status = "ok" if section.ok else "VIOLATED"

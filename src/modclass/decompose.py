@@ -20,7 +20,7 @@ from .modules import (
     submodule_as_module,
     submodule_generated,
 )
-from .rings import FiniteRing, base_digits, base_index
+from .rings import FiniteRing
 from .verdict import Verdict
 
 
@@ -292,11 +292,9 @@ def _find_splitting_idempotent(
     cover digits c_j of y_j's representative, pi(y_j) = sum_i c_ji y_i; this
     is evaluated for a whole block of candidate tuples at once.
     """
-    g, size = module.num_generators, module.size
-    for block in hom_candidate_blocks(module, module, cfg, rng):
-        block = block[(block != 0) & (block != base_index(module.gens, size))]
-        images = base_digits(block, size, g).T
-        fixed = np.ones(len(block), dtype=bool)
+    for images in hom_candidate_blocks(module, module, cfg, rng):
+        images = images[:, (images != 0).any(axis=0) & (images.T != module.gens).any(axis=1)]
+        fixed = np.ones(images.shape[1], dtype=bool)
         for y in images:
             fixed &= module.combine(module.coords(y).T, images) == y  # c_ji = coords(y_j)[i]
         hits = np.flatnonzero(fixed)

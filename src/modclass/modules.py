@@ -428,12 +428,6 @@ def _relation_generators(module: FiniteModule) -> np.ndarray:
     return module._relation_gens
 
 
-def hom_from_images(source: FiniteModule, target: FiniteModule, images: Sequence[int]) -> ModuleHom:
-    """Extend generator images to the whole carrier by linearity."""
-    digits = source._cover_digits(source.rep)  # (size, g)
-    return ModuleHom(source, target, target.combine(digits.T, images))
-
-
 def solution_blocks(
     module: FiniteModule,
     rows: np.ndarray,
@@ -442,15 +436,16 @@ def solution_blocks(
     rng: np.random.Generator | None = None,
 ) -> Iterator[np.ndarray]:
     """The tuples (y_1..y_n) of M^n with sum_j c_j·y_j = 0 for every row c of
-    the (k, n) ring-element array ``rows``, as base-|M| indices, one array
-    per ``_SOLUTION_BLOCK`` tuples scanned; blocks without a solution are
-    skipped.
+    the (k, n) ring-element array ``rows``, one (n, s) array of carrier
+    elements per ``_SOLUTION_BLOCK`` tuples scanned, column j holding the
+    j-th solution of the block; blocks without a solution are skipped.
 
     Without an rng the tuples come in ascending order.  With one they follow
     the seeded affine permutation w -> (a*w + b) mod |M|^n, gcd(a, |M|^n) = 1,
     so either way every solution comes exactly once.  The cap check and the
     draws happen on the call, before any block: a space above
     ``cfg.max_homs`` raises SizeCapError("<what> <space> above cap ...").
+    Tuple indices are decoded here alone; callers read the coordinates.
     """
     m, width = module.size, rows.shape[1]
     space = m**width
@@ -474,7 +469,7 @@ def solution_blocks(
             for row in coefficient_rows:
                 ok &= module.combine(row, ys) == 0
             if ok.any():
-                yield block[ok]
+                yield ys[:, ok]
 
     return scan()
 
@@ -485,38 +480,39 @@ def hom_candidate_blocks(
     cfg: EngineConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> Iterator[np.ndarray]:
-    """Generator-image tuples (y_1..y_g) that define module maps, as
-    ``solution_blocks`` over the target: a tuple defines a map iff every
-    relation of the source annihilates it, and checking the additive
-    generators of the relation submodule suffices because the constraint is
-    additive in the relation.
+    """Generator-image tuples (y_1..y_g) that define module maps, as the
+    (g, s) blocks of ``solution_blocks`` over the target: a tuple defines a
+    map iff every relation of the source annihilates it, and checking the
+    additive generators of the relation submodule suffices because the
+    constraint is additive in the relation.
     """
     rows = source._cover_digits(_relation_generators(source))  # (#gens, g) ring coefficients
     what = f"hom search {source.label} -> {target.label}: candidate space"
     return solution_blocks(target, rows, cfg or DEFAULTS, what, rng)
 
 
+def _homs(source: FiniteModule, target: FiniteModule, cfg: EngineConfig | None) -> Iterator[ModuleHom]:
+    """Every module map source -> target, in the order of its generator-image
+    tuple in ``hom_candidate_blocks``; each table is sum_i c_i·y_i over the
+    source's carrier coordinates c, decoded once per search."""
+    coords = source.coords(np.arange(source.size)).T  # (g, size)
+    for block in hom_candidate_blocks(source, target, cfg):
+        for images in block.T:
+            yield ModuleHom(source, target, target.combine(coords, images))
+
+
 def hom_enumerate(
     source: FiniteModule, target: FiniteModule, cfg: EngineConfig | None = None
 ) -> list[ModuleHom]:
     """All module maps source -> target, ordered by generator-image tuples."""
-    return [
-        hom_from_images(source, target, images)
-        for block in hom_candidate_blocks(source, target, cfg)
-        for images in base_digits(block, target.size, source.num_generators)
-    ]
+    return list(_homs(source, target, cfg))
 
 
 def find_bijective_hom(
     a: FiniteModule, b: FiniteModule, cfg: EngineConfig | None = None
 ) -> ModuleHom | None:
-    """Direct search for an isomorphism, None if none exists."""
-    cfg = cfg or DEFAULTS
+    """Direct search for an isomorphism, None if none exists: the first
+    bijective map of :func:`hom_enumerate`."""
     if a.size != b.size:
         return None
-    for block in hom_candidate_blocks(a, b, cfg):
-        for images in base_digits(block, b.size, a.num_generators):
-            hom = hom_from_images(a, b, images)
-            if hom.is_bijective:
-                return hom
-    return None
+    return next((hom for hom in _homs(a, b, cfg) if hom.is_bijective), None)

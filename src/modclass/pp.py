@@ -167,8 +167,8 @@ def _solution_mask(module: FiniteModule, phi: PPFormula, cfg: EngineConfig) -> n
     if residual.mask is None:
         mask = np.zeros(m**phi.free, dtype=bool)
         coefficients = residual.outputs.T[:, :, None]  # (width, free, 1)
-        for block in solution_blocks(module, residual.rows, cfg, what):
-            coords = module.combine(coefficients, base_digits(block, m, width).T)  # (free, len(block))
+        for witnesses in solution_blocks(module, residual.rows, cfg, what):
+            coords = module.combine(coefficients, witnesses)  # (free, number of witnesses)
             mask[base_index(coords.T, m)] = True
         mask.flags.writeable = False
         residual.mask = mask

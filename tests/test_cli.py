@@ -86,6 +86,12 @@ class TestCapFlags:
         assert code == EXIT_SPEC and out == ""
         assert f"{flag} must be positive, got {value}" in err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_seed_count_is_refused(self, capsys, value):
+        code, out, err = run_cli(capsys, "check-paper", "--seeds", value)
+        assert code == EXIT_SPEC and out == ""
+        assert err == f"error: --seeds must be positive, got {value}\n"
+
     def test_specs_with_the_corpus_are_refused(self, capsys):
         # The SPEC arguments used to be dropped without a word.
         code, out, err = run_cli(capsys, "classify", "--corpus", "builtin", "Z/6")
@@ -231,6 +237,8 @@ class TestCheckPaperNegativeControl:
             ({"orders": [1], "one": None, "table": [[0]]}, "one"),
             ({"orders": [1], "one": 0, "table": [[None]]}, "table"),
             ({"orders": [2], "one": 1, "table": [[0], [0, 1]]}, "table"),
+            ({"orders": [2], "one": 1, "table": [[0, 0], [0, 5]]}, "table"),
+            ({"orders": [2], "one": 1, "table": [[0, 0], [0, -1]]}, "table"),
         ],
     )
     def test_wrong_json_types_are_a_spec_error(self, capsys, tmp_path, data, field):

@@ -35,7 +35,7 @@ from modclass import (
 )
 from modclass import decompose, ideals
 from modclass.decompose import _find_splitting_idempotent
-from modclass.modules import hom_candidate_blocks, hom_from_images
+from modclass.modules import hom_candidate_blocks
 
 
 class TestIdempotents:
@@ -266,12 +266,12 @@ def per_tuple_splitting_idempotent(module):
     unseeded blocks), each tested for idempotence on the table of the map it
     defines."""
     g = module.num_generators
+    coords = module.coords(np.arange(module.size)).T
     for block in hom_candidate_blocks(module, module):
-        for w in block:
-            images = tuple((int(w) // module.size**i) % module.size for i in range(g))
+        for images in map(tuple, block.T.tolist()):
             if images in ((0,) * g, module.gens):
                 continue
-            table = hom_from_images(module, module, images).table
+            table = module.combine(coords, images)
             if all(table[y] == y for y in images):
                 return images
     return None

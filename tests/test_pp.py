@@ -26,7 +26,7 @@ from modclass import (
 )
 from modclass.modules import solution_blocks
 from modclass.pp import _check_subgroup, _eliminate, _solution_mask
-from modclass.rings import units
+from modclass.rings import base_index, units
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def enumerated_mask(module, phi):
     rows = np.array(phi.equations, dtype=np.int64).reshape(len(phi.equations), phi.free + phi.bound)
     mask = np.zeros(module.size**phi.free, dtype=bool)
     for block in solution_blocks(module, rows, DEFAULTS, "oracle witness space"):
-        mask[block % len(mask)] = True
+        mask[base_index(block[: phi.free].T, module.size)] = True
     return mask
 
 

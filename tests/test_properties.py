@@ -35,7 +35,7 @@ from modclass import (
     zero_module,
 )
 from modclass import properties
-from modclass.modules import _relation_generators, hom_candidate_blocks, hom_from_images
+from modclass.modules import _relation_generators, hom_candidate_blocks
 from modclass.subgroup import span
 
 
@@ -46,13 +46,11 @@ def split_surjection_search(pi):
     source, target = pi.source, pi.target
     if len(np.unique(pi.table)) != target.size:
         raise ValueError("split_surjection_search: map is not surjective")
-    g = target.num_generators
     for block in hom_candidate_blocks(target, source):
-        for i, gen in enumerate(target.gens):
-            block = block[pi.table[(block // source.size**i) % source.size] == gen]
-        if len(block):
-            images = [(int(block[0]) // source.size**i) % source.size for i in range(g)]
-            return hom_from_images(target, source, images)
+        block = block[:, (pi.table[block].T == target.gens).all(axis=1)]
+        if block.shape[1]:
+            coords = target.coords(np.arange(target.size)).T
+            return ModuleHom(target, source, source.combine(coords, block[:, 0]))
     return None
 
 
