@@ -2,7 +2,11 @@
 
 A module is the quotient of a free cover R^g by a relation submodule K.
 Elements of the free cover R^g are single integers with base-|R| digits as
-coordinates.  Every module is built by one constructor, ``FiniteModule``,
+coordinates, so a cover index is mixed radix over R's additive orders
+repeated g times.  When every order is a power of two, cover addition is the
+lane sum of ``rings._lane_sum`` on the indices themselves; otherwise it
+decodes both indices, gathers the digit sums from R's addition table and
+encodes the result.  Every module is built by one constructor, ``FiniteModule``,
 from an additive map phi on the free cover whose kernel is K: the classes of
 phi are labeled 0..m-1 in order of their least cover index, so
 representatives are deterministic, and the carrier cap is checked there.
@@ -25,8 +29,8 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ClosureError, SizeCapError
-from .rings import FiniteRing, _add_rows, base_digits, base_index, rows_additive
-from .subgroup import generators, lattice, span
+from .rings import FiniteRing, _add_rows, _lane_sum, base_digits, base_index, rows_additive
+from .subgroup import generators, lattice, span, walk
 
 _MODULE_ADD_TABLE_LIMIT = 2048
 # Entries per block of rows of the addition and action tables.
@@ -69,6 +73,8 @@ class FiniteModule:
         self.num_generators = int(num_generators)
         self.label = label
         self.cover_size = ring.size**self.num_generators
+        # A cover index is mixed radix over R's orders repeated g times.
+        self._cover_lane = _lane_sum(ring.orders * self.num_generators)
         self.relations = np.flatnonzero(self.cls == 0)
         basis = ring.one * np.eye(self.num_generators, dtype=np.int64)
         self.gens = tuple(self.cls[self._cover_encode(basis)].tolist())
@@ -89,6 +95,8 @@ class FiniteModule:
         return base_index(digits, self.ring.size)
 
     def cover_add(self, u, v) -> np.ndarray:
+        if self._cover_lane is not None:
+            return self._cover_lane(u, v)
         du, dv = self._cover_digits(u), self._cover_digits(v)
         return self._cover_encode(self.ring.add_table[du, dv])
 
@@ -267,16 +275,29 @@ def submodule_generated(module: FiniteModule, seeds: Sequence[int]) -> np.ndarra
     return np.flatnonzero(span(module.add, module.size, products.ravel()))
 
 
-def is_submodule(module: FiniteModule, elements: np.ndarray) -> bool:
-    """An additive subgroup closed under the action of each e_i is closed under R."""
-    elements = np.asarray(elements, dtype=np.int64)
+def _submodule_generators(module: FiniteModule, elements: np.ndarray) -> tuple[int, ...] | None:
+    """The greedy additive generators of ``subgroup.walk`` when the elements
+    form a submodule, else None: one walk decides both.
+
+    The elements form an additive subgroup iff their span marks exactly them,
+    and an additive subgroup closed under the action of each e_i is closed
+    under R.
+    """
     if len(elements) == 0 or 0 not in elements:
-        return False
+        return None
     mask = np.zeros(module.size, dtype=bool)
     mask[elements] = True
-    if not np.array_equal(span(module.add, module.size, elements), mask):
-        return False
-    return bool(mask[module.act_table[np.ix_(module.ring._gens, elements)]].all())
+    spanned, picked = walk(module.add, module.size, elements)
+    if not np.array_equal(spanned, mask):
+        return None
+    if not mask[module.act_table[np.ix_(module.ring._gens, elements)]].all():
+        return None
+    return picked
+
+
+def is_submodule(module: FiniteModule, elements: np.ndarray) -> bool:
+    """An additive subgroup closed under the action of each e_i is closed under R."""
+    return _submodule_generators(module, np.asarray(elements, dtype=np.int64)) is not None
 
 
 def all_submodules(module: FiniteModule, limit: int = 20_000) -> list[np.ndarray]:
@@ -342,7 +363,8 @@ def quotient_module(
     """M / N for a submodule N given by its carrier element indices."""
     cfg = cfg or DEFAULTS
     sub = np.unique(np.asarray(submodule, dtype=np.int64))
-    if not is_submodule(module, sub):
+    sub_gens = _submodule_generators(module, sub)
+    if sub_gens is None:
         raise ClosureError(f"{module.label}: quotient by a non-submodule")
     if len(sub) == 1:
         return module
@@ -353,7 +375,7 @@ def quotient_module(
     carrier = np.arange(module.size)
     best = carrier
     rounds = (lcm(*module.ring.orders) - 1).bit_length()
-    for h in generators(module.add, module.size, sub):
+    for h in sub_gens:
         for _ in range(rounds):
             best = np.minimum(best, best[module.add(carrier, h)])
             h = module.add(h, h)

@@ -22,6 +22,16 @@ their own and returns every direct sum of one member per block: 335 = 5 x 67
 submodules of R² over GF(2) x M(2,GF(2)) cost two small closures, not one
 closure over 1024 elements.
 
+A block is closed from its join-irreducible parts alone: every element of a
+finite lattice is the join of the join-irreducibles below it, and a part is
+join-irreducible iff the parts strictly inside it join to less than it.  The
+67 submodules of R² over M(2,GF(2)) are the closure of {0} under joins with
+its 15 simple submodules, not with all 51 cyclic ones.  A join A + P is one
+sumset: the larger of the two when one contains the other, else the cosets
+A + y, y in P, gathered through ``add`` in blocks of at most 2^16 pairs, so
+that the nested members of a chain such as the ideals of Z/2048 cost no
+gather at all.
+
 ``grow`` adds one generator g to a marked subgroup H by doubling.  After i
 rounds the mask holds H + {0, ..., 2^i - 1}·g.  The next round shifts
 everything marked by x = 2^i·g, which gives H + {0, ..., 2^(i+1) - 1}·g, and
@@ -29,6 +39,8 @@ then sets x <- x + x.  Once x is already marked, 2^i·g = h + j·g with
 j < 2^i, so d·g lies in H for some 1 <= d <= 2^i; the multiples 0..2^i - 1
 then meet every coset of H in H + <g>, and the mask equals H + <g>.  Adding g
 costs one ``add`` call per round, about log2 of the order of g modulo H.
+``walk``, behind ``span`` and ``generators``, calls it once for each element
+not yet spanned.
 """
 
 from __future__ import annotations
@@ -60,22 +72,10 @@ def grow(add: Callable, mask: np.ndarray, g: int) -> np.ndarray:
     return members[before:]
 
 
-def span(add: Callable, size: int, gens: Iterable[int]) -> np.ndarray:
-    """Mask over the carrier of the subgroup generated by ``gens``."""
-    mask = np.zeros(size, dtype=bool)
-    mask[0] = True
-    for g in gens:
-        if not mask[g]:
-            grow(add, mask, g)
-    return mask
-
-
-def generators(add: Callable, size: int, elements: Iterable[int]) -> tuple[int, ...]:
-    """Greedy additive generating set of the subgroup spanned by ``elements``.
-
-    Walks the elements in order and keeps each one not yet spanned by those
-    kept before it.
-    """
+def walk(add: Callable, size: int, elements: Iterable[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The mask of the subgroup spanned by ``elements`` and a greedy additive
+    generating set of it: the elements, in order, not yet spanned by those
+    kept before them."""
     mask = np.zeros(size, dtype=bool)
     mask[0] = True
     picked = []
@@ -83,38 +83,111 @@ def generators(add: Callable, size: int, elements: Iterable[int]) -> tuple[int, 
         if not mask[x]:
             grow(add, mask, x)
             picked.append(int(x))
-    return tuple(picked)
+    return mask, tuple(picked)
+
+
+def span(add: Callable, size: int, gens: Iterable[int]) -> np.ndarray:
+    """Mask over the carrier of the subgroup generated by ``gens``."""
+    return walk(add, size, gens)[0]
+
+
+def generators(add: Callable, size: int, elements: Iterable[int]) -> tuple[int, ...]:
+    """Greedy additive generating set of the subgroup spanned by ``elements``."""
+    return walk(add, size, elements)[1]
+
+
+# Pairs gathered per block of a sumset: the int64 operands of a block stay
+# near 512 KB however large the two subgroups are.
+_PAIRS = 1 << 16
+
+
+def _sumset(
+    add: Callable, a: np.ndarray, a_mask: np.ndarray, b: np.ndarray, b_mask: np.ndarray
+) -> np.ndarray:
+    """A + B as sorted element indices, for two subgroups each given as sorted
+    element indices and as a mask.
+
+    When one contains the other the larger is returned as it is.  Otherwise
+    A + B is the union of the cosets A + y, y in B, for the larger A, gathered
+    through ``add`` on 1-D arrays in blocks of at most ``_PAIRS`` pairs; a y
+    already marked lies in a coset gathered before and is skipped.
+    """
+    if a_mask[b].all():
+        return a
+    if b_mask[a].all():
+        return b
+    if len(a) < len(b):
+        a, a_mask, b = b, b_mask, a
+    mask = a_mask.copy()
+    step = max(1, _PAIRS // len(a))
+    for start in range(0, len(b), step):
+        ys = b[start : start + step]
+        ys = ys[~mask[ys]]
+        if len(ys):
+            mask[add(np.tile(a, len(ys)), np.repeat(ys, len(a)))] = True
+    return np.flatnonzero(mask)
+
+
+def _join_irreducible(
+    add: Callable, size: int, parts: Iterable[np.ndarray]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct ``parts`` that are not the join of the parts strictly
+    inside them, smallest first, and their masks as rows.
+
+    Every sum of parts is a sum of these: a part that is the join of the
+    parts inside it is, by induction on size, a sum of the irreducible ones
+    inside it.  So only they are needed, and a part is irreducible iff the
+    irreducible parts strictly inside it join to less than it.  {0}, the
+    empty join, is never irreducible.
+    """
+    distinct = {}
+    for part in parts:
+        part = np.asarray(part, dtype=np.int64)
+        distinct.setdefault(part.tobytes(), part)
+    irreducible: list[np.ndarray] = []
+    masks = np.zeros((len(distinct), size), dtype=bool)
+    zero_mask = np.zeros(size, dtype=bool)
+    zero_mask[0] = True
+    for part in sorted(distinct.values(), key=len):
+        k = len(irreducible)
+        masks[k, part] = True
+        inside = np.flatnonzero(~masks[:k, ~masks[k]].any(axis=1))
+        joined, joined_mask = np.zeros(1, dtype=np.int64), zero_mask.copy()
+        for i in inside[::-1]:  # largest first: nested parts then cost nothing
+            if len(joined) == len(part):
+                break
+            joined = _sumset(add, joined, joined_mask, irreducible[i], masks[i])
+            joined_mask[joined] = True
+        if len(joined) < len(part):
+            irreducible.append(part)
+        else:
+            masks[k] = False
+    return irreducible, masks[: len(irreducible)]
 
 
 def _join_closure(
     add: Callable, size: int, parts: Iterable[np.ndarray], limit: int | None, name: str
 ) -> list[np.ndarray]:
-    """Every sum of the closed ``parts``: their closure under joins with one
-    part.  A join A + P grows A's mask by an additive generating set of P."""
-    closed: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
-    for part in parts:
-        part = np.asarray(part, dtype=np.int64)
-        key = part.tobytes()
-        if key not in closed:
-            closed[key] = (part, generators(add, size, part))
-    found: dict[bytes, np.ndarray] = {key: part for key, (part, _) in closed.items()}
-    queue = list(found)
+    """Every sum of the closed ``parts``, {0} included: the closure of {0}
+    under A -> A + P for the join-irreducible parts P, one sumset per join."""
+    irreducible, masks = _join_irreducible(add, size, parts)
+    zero = np.zeros(1, dtype=np.int64)
+    found: dict[bytes, np.ndarray] = {zero.tobytes(): zero}
+    queue = [zero]
     while queue:
-        base = np.zeros(size, dtype=bool)
-        base[found[queue.pop()]] = True
-        for part, gens in closed.values():
-            if base[part].all():
+        base = queue.pop()
+        base_mask = np.zeros(size, dtype=bool)
+        base_mask[base] = True
+        for part, part_mask in zip(irreducible, masks):
+            joined = _sumset(add, base, base_mask, part, part_mask)
+            if joined is base:
                 continue
-            mask = base.copy()
-            for g in gens:
-                grow(add, mask, g)
-            joined = np.flatnonzero(mask)
             key = joined.tobytes()
             if key not in found:
                 if limit is not None and len(found) >= limit:
                     raise SizeCapError(f"{name} above {limit}")
                 found[key] = joined
-                queue.append(key)
+                queue.append(joined)
     return list(found.values())
 
 

@@ -33,7 +33,7 @@ from modclass import (
     submodule_generated,
 )
 from modclass.modules import is_submodule
-from modclass.rings import _fill
+from modclass.rings import _fill, base_digits, base_index
 from modclass.subgroup import span
 
 
@@ -71,6 +71,19 @@ class TestConstruction:
         reg = regular_module(z6)
         with pytest.raises(ClosureError):
             quotient_module(reg, [0, 1])  # 1 generates everything
+
+    @pytest.mark.parametrize(
+        "spec, elements",
+        [("Z/4", [2]), ("Z/4", [0, 1]), ("GF(4)", [0, 1]), ("Z/4", [])],
+        ids=["without-zero", "non-subgroup", "subgroup-not-closed-under-the-action", "empty"],
+    )
+    def test_quotient_refuses_every_non_submodule(self, spec, elements):
+        # In GF(4), {0, 1} is an additive subgroup that the generator 2 moves.
+        reg = regular_module(build_ring(spec))
+        elements = np.array(elements, dtype=np.int64)
+        assert not is_submodule(reg, elements)
+        with pytest.raises(ClosureError, match=re.escape(f"{reg.label}: quotient by a non-submodule")):
+            quotient_module(reg, elements)
 
     def test_corrupted_action_is_rejected_at_every_size(self):
         module = regular_module(build_ring("Z/2048"))
@@ -150,6 +163,39 @@ class TestActTable:
             reg = regular_module(ring)
             assert np.shares_memory(reg.act_table, ring.mul_table), ring.label
             assert reg.add_table is ring.add_table, ring.label
+
+
+def gathered_cover_add(module, u, v):
+    """Free-cover addition digit by digit through R's addition table."""
+    size, g = module.ring.size, module.num_generators
+    return base_index(module.ring.add_table[base_digits(u, size, g), base_digits(v, size, g)], size)
+
+
+class TestCoverAddition:
+    """Every n_i a power of two: a cover index is a word of bit fields, added
+    by lanes; every other ring adds through the table."""
+
+    @pytest.mark.parametrize(
+        "spec, rank", [("Z/4", 2), ("GF(4)", 2), ("T(2,GF(2))", 2), ("Z/8 x Z/2", 2), ("GF(2)", 3)]
+    )
+    def test_lanes_match_the_gather_on_every_pair(self, spec, rank):
+        module = free_module(build_ring(spec), rank)
+        assert module._cover_lane is not None
+        u, v = np.divmod(np.arange(module.cover_size**2), module.cover_size)
+        assert np.array_equal(module.cover_add(u, v), gathered_cover_add(module, u, v))
+
+    def test_lanes_match_the_gather_on_random_pairs(self):
+        module = free_module(build_ring("GF(2) x M(2,GF(2))"), 2)
+        assert module._cover_lane is not None and module.cover_size == 1024
+        u, v = np.random.default_rng(7).integers(0, module.cover_size, (2, 10_000))
+        assert np.array_equal(module.cover_add(u, v), gathered_cover_add(module, u, v))
+
+    @pytest.mark.parametrize("spec", ["Z/6", "GF(3)", "Z/12"])
+    def test_other_rings_take_the_gather(self, spec):
+        module = free_module(build_ring(spec), 2)
+        assert module._cover_lane is None
+        u, v = np.divmod(np.arange(module.cover_size**2), module.cover_size)
+        assert np.array_equal(module.cover_add(u, v), gathered_cover_add(module, u, v))
 
 
 def pairwise_labels(a, b):

@@ -1,5 +1,6 @@
 """The additive-subgroup kernel against a naive fixed-point oracle, and the
-block-split lattices against the unsplit join-closure."""
+block-split, join-irreducible lattices against an unsplit closure that joins
+every member with every cyclic part, one ``grow`` per additive generator."""
 
 import re
 
@@ -22,7 +23,8 @@ from modclass import (
     regular_module,
 )
 from modclass.ideals import IDEAL_ENUM_CAP
-from modclass.subgroup import generators, lattice, span
+from modclass.subgroup import _join_irreducible, generators, grow, lattice, span
+from test_rings import traced_peak_mb
 
 
 def naive_span(add, gens):
@@ -68,15 +70,48 @@ def test_rank_two_free_modules_match_oracle():
 # -- the block-split lattice against the unsplit join-closure --------------------
 
 
+def naive_lattice(add, size, parts):
+    """Every sum of ``parts`` sorted by (size, elements): each member found
+    is joined with every distinct part by growing its mask along an additive
+    generating set of the part."""
+    closed = {}
+    for part in parts:
+        part = np.asarray(part, dtype=np.int64)
+        closed.setdefault(part.tobytes(), (part, generators(add, size, part)))
+    found = {key: part for key, (part, _) in closed.items()}
+    queue = list(found)
+    while queue:
+        base = np.zeros(size, dtype=bool)
+        base[found[queue.pop()]] = True
+        for part, gens in closed.values():
+            if base[part].all():
+                continue
+            mask = base.copy()
+            for g in gens:
+                grow(add, mask, g)
+            joined = np.flatnonzero(mask)
+            if joined.tobytes() not in found:
+                found[joined.tobytes()] = joined
+                queue.append(joined.tobytes())
+    return sorted((tuple(a.tolist()) for a in found.values()), key=lambda a: (len(a), a))
+
+
 def unsplit_submodules(module):
-    """Every cyclic submodule fed to ``lattice`` as one single block."""
+    """Every cyclic submodule, closed as one single block by the oracle."""
     cyclics = [cyclic_submodule(module, x) for x in range(module.size)]
-    return [tuple(a.tolist()) for a in lattice(module.add, module.size, [cyclics])]
+    return naive_lattice(module.add, module.size, cyclics)
 
 
 def unsplit_ideals(ring, side):
     cyclics = [ideal_generated(ring, side, [x]).elements for x in range(ring.size)]
-    return [tuple(a.tolist()) for a in lattice(ring.add, ring.size, [cyclics])]
+    return naive_lattice(ring.add, ring.size, cyclics)
+
+
+def join_irreducible_count(module):
+    """How many distinct cyclic submodules are not the join of the cyclic
+    submodules strictly inside them."""
+    cyclics = [cyclic_submodule(module, x) for x in range(module.size)]
+    return len(_join_irreducible(module.add, module.size, cyclics)[0])
 
 
 def split_submodules(module):
@@ -124,3 +159,28 @@ def test_cap_on_the_product_raises_before_any_direct_sum():
         lattice(closure_add, square.size, blocks, limit=10)
     with pytest.raises(SizeCapError, match=re.escape(f"{square.label}: submodule lattice above 10")):
         all_submodules(square, limit=10)
+
+
+def test_join_irreducible_parts_are_counted_exactly(m2f2, z8):
+    # R^2 over the simple ring M(2,GF(2)) is the sum of two simple modules
+    # GF(2)^2: its 15 simple submodules are the join-irreducible ones.
+    reg = regular_module(m2f2)
+    square = direct_sum(reg, reg)
+    assert join_irreducible_count(square) == 15
+    assert len(all_submodules(square)) == 67
+    # The ideals of Z/8 are a chain: each nonzero one is irreducible.
+    assert join_irreducible_count(regular_module(z8)) == 3
+
+
+@pytest.mark.parametrize("spec, rank", [("Z/2048", 1), ("GF(2) x M(2,GF(2))", 2)])
+def test_lattice_joins_in_bounded_memory(spec, rank):
+    # Nested members short-circuit their join and every other sumset is
+    # gathered in blocks: an unblocked sumset over the chain of Z/2048 peaks
+    # near 40 MB.
+    reg = regular_module(build_ring(spec))
+    module = reg if rank == 1 else direct_sum(reg, reg)
+    module.act_table, module.add_table  # built before the trace starts
+    expected = len(all_submodules(module))
+    members, mb = traced_peak_mb(lambda: all_submodules(module))
+    assert len(members) == expected
+    assert mb < 2, mb
