@@ -279,20 +279,20 @@ def _matrix_unit_identities(n: int, q: int) -> dict:
     """Enumeratively verify the field-generic idempotent identities in M(n, GF(q)).
 
     Matrices are (..., n, n) arrays of GF(q) element indices, multiplied
-    through the field's addition and multiplication tables, so no matrix
-    ring is built; the corner check runs over all q^(n^2) matrices.
+    through the field's addition and multiplication, so no matrix ring is
+    built; the corner check runs over all q^(n^2) matrices.
     """
     scalars = galois_field(q)
-    add, mul = scalars.add_table, scalars.mul_table
+    add, mul = scalars.add, scalars.mul_table
 
     def matmul(a, b):
         terms = mul[a[..., :, :, None], b[..., None, :, :]]  # a_ij b_jk at [..., i, j, k]
-        return reduce(lambda x, y: add[x, y], np.moveaxis(terms, -2, 0))
+        return reduce(add, np.moveaxis(terms, -2, 0))
 
     eu = np.eye(n * n, dtype=np.int64).reshape(n, n, n, n) * scalars.one  # eu[i, j] = E_ij
     diag = [eu[i, i] for i in range(n)]
     zero = np.zeros((n, n), dtype=np.int64)
-    ok_sum = np.array_equal(reduce(lambda x, y: add[x, y], diag), np.eye(n, dtype=np.int64) * scalars.one)
+    ok_sum = np.array_equal(reduce(add, diag), np.eye(n, dtype=np.int64) * scalars.one)
     ok_orth = all(
         np.array_equal(matmul(diag[i], diag[j]), diag[i] if i == j else zero)
         for i in range(n)

@@ -11,10 +11,12 @@ class EngineConfig:
     """Caps that bound every enumeration in the engine.
 
     ``max_ring`` bounds ring carriers at construction time, and with them
-    the two N x N int32 tables (addition and multiplication) that every ring
-    carries.  ``max_module`` bounds module carriers and ``max_homs`` the
-    candidate space of a homomorphism enumeration.  Ring axiom checks are
-    exact at every size and take no cap.
+    the N x N int32 tables a ring carries: 4·N² bytes for the multiplication
+    table alone when the additive group is a 2-group, which adds by lanes,
+    and 8·N² bytes otherwise, with the addition table.  ``max_module``
+    bounds module carriers and ``max_homs`` the candidate space of a
+    homomorphism enumeration.  Ring axiom checks are exact at every size
+    and take no cap.
     """
 
     max_ring: int = 4096

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import prod
 from typing import Sequence
 
@@ -124,18 +123,6 @@ class IdempotentDecomposition:
             )
 
 
-def _compare_representatives(a: FiniteModule, b: FiniteModule) -> int:
-    """Order by size, then by the action tables compared entry by entry as
-    integers (the first differing entry decides)."""
-    if a.size != b.size:
-        return -1 if a.size < b.size else 1
-    ta, tb = a.act_table.ravel(), b.act_table.ravel()
-    diff = np.flatnonzero(ta != tb)
-    if len(diff) == 0:
-        return 0
-    return -1 if ta[diff[0]] < tb[diff[0]] else 1
-
-
 def primitive_decomposition(
     ring: FiniteRing,
     cfg: EngineConfig | None = None,
@@ -199,8 +186,12 @@ def _decompose(
         FiniteModule(ring, 1, ring.mul_table[:, group[0]], f"P{i + 1}({ring.label})", cfg)
         for i, group in enumerate(groups)
     ]
+    # By size, then by the action tables entry by entry (the first differing
+    # entry decides); a table is read only where two sizes tie.
+    ties = Counter(p.size for p in reps)
     order_key = sorted(
-        range(len(groups)), key=cmp_to_key(lambda i, j: _compare_representatives(reps[i], reps[j]))
+        range(len(groups)),
+        key=lambda i: (reps[i].size, reps[i].act_table.ravel().tolist() if ties[reps[i].size] > 1 else []),
     )
     groups = [groups[i] for i in order_key]
     reps = [reps[i] for i in order_key]

@@ -104,7 +104,7 @@ def _radical(ring: FiniteRing) -> Ideal:
     # anything else means the ring tables are corrupt.
     k = len(elements)
     checks = (
-        ("addition", k, k, lambda b: ring.add_table[np.ix_(elements[b], elements)]),
+        ("addition", k, k, lambda b: ring.add(elements[b, None], elements)),
         ("left multiples", n, k, lambda b: mul[b, elements]),
         ("right multiples", k, n, lambda b: mul[elements[b]]),
     )
@@ -277,7 +277,7 @@ def is_local(ring: FiniteRing) -> Verdict:
     um = unit_mask(ring)
     nonunits = np.flatnonzero(~um)
     for block in row_blocks(len(nonunits), len(nonunits)):
-        sums = ring.add_table[np.ix_(nonunits[block], nonunits)]
+        sums = ring.add(nonunits[block, None], nonunits)
         bad = um[sums]
         if bad.any():
             i, j = divmod(int(bad.argmax()), len(nonunits))

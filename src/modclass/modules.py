@@ -5,14 +5,14 @@ Elements of the free cover R^g are single integers with base-|R| digits as
 coordinates, so a cover index is mixed radix over R's additive orders
 repeated g times.  When every order is a power of two, cover addition is the
 lane sum of ``rings._lane_sum`` on the indices themselves; otherwise it
-decodes both indices, gathers the digit sums from R's addition table and
-encodes the result.  Every module is built by one constructor, ``FiniteModule``,
-from an additive map phi on the free cover whose kernel is K: the classes of
-phi are labeled 0..m-1 in order of their least cover index, so
-representatives are deterministic, and the carrier cap is checked there.
-Free modules, direct sums, submodules, quotients and the P_i = Re all pass
-their cover map.  The action table is gathered off the free cover,
-r x = phi(r rep(x)); the regular module shares both of the ring's tables.
+decodes both indices, adds the digits with ``FiniteRing.add`` and encodes the
+result.  Every module is built by one constructor, ``FiniteModule``, from an
+additive map phi on the free cover whose kernel is K: the classes of phi are
+labeled 0..m-1 in order of their least cover index, so representatives are
+deterministic, and the carrier cap is checked there.  Free modules, direct
+sums, submodules, quotients and the P_i = Re all pass their cover map.  The
+action table is gathered off the free cover, r x = phi(r rep(x)); the regular
+module shares the ring's multiplication table and adds with ``FiniteRing.add``.
 :func:`verify_module_axioms` checks it against the doubling fill of the
 action of R's additive generators, the one that also builds ring tables, and
 is exact at every size: additivity reduces the module laws to checks on
@@ -29,8 +29,8 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ClosureError, SizeCapError
-from .rings import FiniteRing, _add_rows, _lane_sum, base_digits, base_index, rows_additive
-from .subgroup import generators, lattice, span, walk
+from .rings import FiniteRing, _add_op, _add_rows, _lane_sum, base_digits, base_index, rows_additive
+from .subgroup import generators, grow, lattice, span, walk
 
 _MODULE_ADD_TABLE_LIMIT = 2048
 # Entries per block of rows of the addition and action tables.
@@ -50,8 +50,8 @@ class FiniteModule:
     least cover index), ``size`` and the relation submodule ``relations``
     (the cover indices of class 0).  A carrier above ``cfg.max_module``
     raises SizeCapError.  When g = 1 and K = 0 the ranking makes ``cls`` the
-    identity on R, and the module shares both of R's tables as its action
-    and addition tables.
+    identity on R: this regular module shares R's multiplication table as
+    its action table and adds with R's addition.
     """
 
     def __init__(
@@ -78,10 +78,9 @@ class FiniteModule:
         self.relations = np.flatnonzero(self.cls == 0)
         basis = ring.one * np.eye(self.num_generators, dtype=np.int64)
         self.gens = tuple(self.cls[self._cover_encode(basis)].tolist())
-        self._act_table: np.ndarray | None = None
+        self._regular = self.num_generators == 1 and self.size == ring.size
+        self._act_table = ring.mul_table if self._regular else None
         self._add_table: np.ndarray | None = None
-        if self.num_generators == 1 and self.size == ring.size:
-            self._act_table, self._add_table = ring.mul_table, ring.add_table
         self._relation_gens: np.ndarray | None = None  # set by _relation_generators
         self._pp_masks: dict = {}  # filled by pp._solution_mask
 
@@ -98,7 +97,7 @@ class FiniteModule:
         if self._cover_lane is not None:
             return self._cover_lane(u, v)
         du, dv = self._cover_digits(u), self._cover_digits(v)
-        return self._cover_encode(self.ring.add_table[du, dv])
+        return self._cover_encode(self.ring.add(du, dv))
 
     def cover_act(self, r, u) -> np.ndarray:
         return self._cover_encode(self.ring.mul_table[r, self._cover_digits(u)])
@@ -126,8 +125,8 @@ class FiniteModule:
     @property
     def add_table(self) -> np.ndarray | None:
         """(size, size) addition table up to ``_MODULE_ADD_TABLE_LIMIT``
-        elements, built in row blocks of at most ``_BLOCK`` entries; the
-        regular module's is the ring's addition table, at every size."""
+        elements, built in row blocks of at most ``_BLOCK`` entries.  The
+        regular module never reads it: it adds with the ring's addition."""
         if self._add_table is None and self.size <= _MODULE_ADD_TABLE_LIMIT:
             table = np.empty((self.size, self.size), dtype=np.int32)
             step = max(1, _BLOCK // self.size)
@@ -138,13 +137,17 @@ class FiniteModule:
         return self._add_table
 
     def _add_op(self):
-        """Addition as an op rows + s of ``rings._fill``: a bare gather when the
-        table exists.  Module labels are ranked, not bit fields, so there is
-        no lane sum here."""
+        """Addition as an op rows + s of ``rings._fill``: the ring's own for
+        the regular module, else a bare gather when the table exists.  Other
+        modules' labels are ranked, not bit fields, so they add by no lanes."""
+        if self._regular:
+            return _add_op(self.ring)
         table = self.add_table
         return self.add if table is None else _add_rows(table)
 
     def add(self, x, y):
+        if self._regular:
+            return self.ring.add(x, y)
         table = self.add_table
         if table is not None:
             out = table[x, y]
@@ -337,7 +340,8 @@ def submodule_as_module(
         for x in elements:
             if not reached[x]:
                 gens.append(int(x))
-                reached[submodule_generated(module, gens)] = True
+                for y in module.act_table[module.ring._gens, x]:
+                    grow(module.add, reached, y)
         if np.count_nonzero(reached) != len(elements):
             raise ClosureError(f"{module.label}: elements do not form a submodule")
     else:

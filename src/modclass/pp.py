@@ -11,10 +11,9 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SizeCapError
-from .ideals import ideal_generated
 from .modules import FiniteModule, regular_module, solution_blocks
 from .rings import FiniteRing, base_digits, base_index
-from .subgroup import span
+from .subgroup import grow, span
 from .verdict import Verdict
 
 
@@ -108,7 +107,7 @@ def _eliminate(ring: FiniteRing, phi: PPFormula) -> _Residual:
     pivot solves expresses itself.
     """
     n = phi.free + phi.bound
-    one, mul, add = ring.one, ring.mul_table, ring.add_table
+    one, mul = ring.one, ring.mul_table
     rows = [list(row) for row in phi.equations]
     outputs = [[one if k == j else 0 for k in range(n)] for j in range(phi.free)]
     order = list(range(phi.free, n)) + list(range(phi.free))
@@ -137,7 +136,7 @@ def _eliminate(ring: FiniteRing, phi: PPFormula) -> _Residual:
             if d:
                 for k, s in enumerate(solved):
                     if s:
-                        target[k] = int(add[target[k], mul[d, s]])
+                        target[k] = ring.add(target[k], mul[d, s])
     rows = [row for row in rows if any(row)]
     keep = [k for k in range(n) if any(row[k] for row in rows + outputs)]
     return _Residual(
@@ -227,11 +226,13 @@ def pp_subgroup_is_right_ideal(
             note="solution set escapes under right multiplication",
         )
     gens: list[int] = []
-    reached = {0}
+    reached = np.zeros(ring.size, dtype=bool)
+    reached[0] = True
     for x in sols:
-        if int(x) not in reached:
+        if not reached[x]:
             gens.append(int(x))
-            reached = set(ideal_generated(ring, "right", gens).elements)
+            for y in ring.mul_table[x, ring._gens]:
+                grow(ring.add, reached, y)
     return Verdict(True, witness=tuple(gens), note=f"right ideal with {len(sols)} elements")
 
 

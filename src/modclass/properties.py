@@ -151,7 +151,7 @@ def is_projective_module(module: FiniteModule, cfg: EngineConfig | None = None) 
         for m in class_picks:
             phi = module.add(phi[:, None], act[column, m][None, :]).ravel()
             lifted = mul[column[:, None], module.coords(m)]
-            psi = ring.add_table[psi[:, None], lifted[None, :]].reshape(len(phi), -1)
+            psi = ring.add(psi[:, None], lifted[None, :]).reshape(len(phi), -1)
     if len(phi) != module.size or len(np.unique(phi)) != module.size:
         raise ConsistencyError(f"{module.label}: (+) P_i^a_i -> M is not a bijection")
     section = np.empty(module.size, dtype=np.int64)

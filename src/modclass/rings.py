@@ -6,20 +6,22 @@ mixed-radix digit vector over those orders, and addition is the componentwise
 group law.  The additive generators e_1, ..., e_t are the unit digit vectors.
 
 Every constructor emits only the t x t matrix of generator products e_i * e_j,
-and :class:`FiniteRing` turns it into full N x N addition and multiplication
-tables with :func:`materialize`, so every ring carries its tables and
-``EngineConfig.max_ring`` alone bounds their size.  :func:`verify_ring_axioms`
-is exact at every size: biadditivity reduces the ring axioms to checks on the
-generators.  It decides the distributive laws in one pass over the table's
-own rows and builds the doubling fills only to find the witnesses of a law
-that fails.  Validation, the units and the radical pass over a table in row
-blocks of at most ``_FILL_BLOCK`` entries (:func:`row_blocks`), so a table
-that passes is checked without an N x N temporary.
+and :class:`FiniteRing` turns it into the full N x N multiplication table with
+:func:`materialize`, so every ring carries it and ``EngineConfig.max_ring``
+alone bounds its size.  :func:`verify_ring_axioms` is exact at every size:
+biadditivity reduces the ring axioms to checks on the generators.  It decides
+the distributive laws in one pass over the table's own rows and builds the
+doubling fills only to find the witnesses of a law that fails.  Validation,
+the units and the radical pass over a table in row blocks of at most
+``_FILL_BLOCK`` entries (:func:`row_blocks`), so a table that passes is
+checked without an N x N temporary.
 
-The fills and the validation add ring elements with one op chosen from the
-additive orders alone (:func:`_add_op`).  When every n_i is a power of two,
-the digits of an index are bit fields and all of them are added at once by
-a lane sum on the indices; every other ring gathers from its addition table.
+Ring elements are added in one place, :meth:`FiniteRing.add` and the fill op
+:func:`_add_op`, by one choice made from the additive orders alone.  When every
+n_i is a power of two, the digits of an index are bit fields and all of them
+are added at once by a lane sum on the indices, and the ring never builds an
+addition table; every other ring gathers from its addition table, which is
+built the first time it is read.
 """
 
 from __future__ import annotations
@@ -88,6 +90,8 @@ class FiniteRing:
         self._digits = self.decode(np.arange(self.size))
         # The additive generators e_i as element indices (0 where n_i = 1).
         self._gens = self.encode(np.eye(len(orders), dtype=np.int64))
+        # The lane sum when the additive group is a 2-group, else None.
+        self._lane = _lane_sum(orders)
 
         self._add_table: np.ndarray | None = None
         self._neg_table: np.ndarray | None = None
@@ -121,6 +125,7 @@ class FiniteRing:
 
     @property
     def add_table(self) -> np.ndarray:
+        """The N x N addition table, built the first time it is read."""
         if self._add_table is None:
             self._add_table = _addition_table(self)
         return self._add_table
@@ -132,7 +137,9 @@ class FiniteRing:
         return self._neg_table
 
     def add(self, a, b):
-        out = self.add_table[a, b]
+        """a + b for ints or broadcasting arrays: lane by lane when the additive
+        group is a 2-group, else one gather from the addition table."""
+        out = self.add_table[a, b] if self._lane is None else self._lane(a, b)
         return int(out) if np.ndim(out) == 0 else out
 
     def neg(self, a):
@@ -197,12 +204,11 @@ def _fill(ring: FiniteRing, row0: np.ndarray, gen_rows: np.ndarray, op) -> np.nd
 
     ``op(rows, step)`` adds the row ``step`` to each of ``rows``: the ring's
     addition from :func:`_add_op`, or composition with a translation for the
-    addition table of a ring whose additive group is not a 2-group.  Rows
-    are filled in index order: once the rows with every digit from i on zero
-    are done, the rows whose i-th digit lies in [m, 2m) are op(rows with
-    digit i in [0, m), m * gen_rows[i]), so generator i takes log2(n_i)
-    doubling steps.  Each step runs in row blocks of at most ``_FILL_BLOCK``
-    entries.
+    addition table.  Rows are filled in index order: once the rows with every
+    digit from i on zero are done, the rows whose i-th digit lies in [m, 2m)
+    are op(rows with digit i in [0, m), m * gen_rows[i]), so generator i
+    takes log2(n_i) doubling steps.  Each step runs in row blocks of at most
+    ``_FILL_BLOCK`` entries.
     """
     out = np.empty((ring.size, len(row0)), dtype=np.int32)
     out[0] = row0
@@ -218,12 +224,8 @@ def _fill(ring: FiniteRing, row0: np.ndarray, gen_rows: np.ndarray, op) -> np.nd
 
 
 def _addition_table(ring: FiniteRing) -> np.ndarray:
+    """Row a + e_i is row a composed with the translation b -> b + e_i."""
     row0 = np.arange(ring.size, dtype=np.int32)
-    lane = _lane_sum(ring.orders)
-    if lane is not None:
-        # Row a + e_i is row a plus the constant e_i.
-        return _fill(ring, row0, _as_int32(ring._gens[:, None]), lane)
-    # Row a + e_i is row a composed with the translation b -> b + e_i.
     units = np.eye(len(ring.orders), dtype=np.int64)
     shifts = _as_int32([ring.encode(ring._digits + d) for d in units])
     return _fill(ring, row0, shifts, lambda rows, s: s[rows])
@@ -273,10 +275,10 @@ def _add_rows(add: np.ndarray):
 
 
 def _add_op(ring: FiniteRing):
-    """The ring's addition as an op rows + s of :func:`_fill`, chosen from the
-    additive orders alone: the lane sum of :func:`_lane_sum` when every n_i
-    is a power of two, else one gather from the addition table."""
-    return _lane_sum(ring.orders) or _add_rows(ring.add_table)
+    """The ring's addition as an op rows + s of :func:`_fill`: the lane sum
+    of :meth:`FiniteRing.add` when every n_i is a power of two, else one
+    gather from the addition table."""
+    return ring._lane or _add_rows(ring.add_table)
 
 
 def materialize(ring: FiniteRing) -> np.ndarray:
@@ -285,11 +287,10 @@ def materialize(ring: FiniteRing) -> np.ndarray:
     Column b of the generator rows e_i * b is the sum of b_j (e_i e_j), a
     fill over the generator products; every other row follows by
     row(a + k e_i) = row(a) + k (e_i * b).  Both fills add with
-    :func:`_add_op`: lane by lane when the additive group is a 2-group,
-    else by a gather from the addition table.  Also builds the addition
-    table first (:func:`_addition_table`).
+    :func:`_add_op`: lane by lane when the additive group is a 2-group, and
+    then no addition table is built, else by a gather from the addition
+    table, built here.
     """
-    ring._add_table = _addition_table(ring)
     add = _add_op(ring)
     t = len(ring.orders)
     gen_rows = _fill(ring, np.zeros(t, dtype=np.int32), ring.gen_products.T, add).T

@@ -74,25 +74,37 @@ def test_tables_match_golden():
 
 def test_lane_sum_matches_gather():
     # Every recorded ring whose additive orders are powers of two, and two
-    # that mix lane widths: the lane sum, the gather from the addition table
-    # and the digitwise sum agree on random row blocks.
+    # that mix lane widths: the lane sum, the gather from the addition table,
+    # ring.add and the digitwise sum agree on random row blocks.  ring.add
+    # adds by lanes on these rings, and is also checked on a scalar with an
+    # array, on broadcast arrays and on two scalars against the addition
+    # table, which is the translation fill.
     rng = np.random.default_rng(23)
     rings = [ring for _, ring in golden_rings() if _lane_sum(ring.orders) is not None]
     assert set(RING_SCALE_SPECS) <= {ring.label for ring in rings}
     rings += [build_ring("Z/2 x M(2,Z/4)"), build_ring("Z/8 x Z/2 x Z/2")]
     for ring in rings:
-        lane, gather = _lane_sum(ring.orders), _add_rows(ring.add_table)
+        lane, table = _lane_sum(ring.orders), ring.add_table
+        gather = _add_rows(table)
         rows = rng.integers(ring.size, size=(8, ring.size), dtype=np.int32)
         step = rng.integers(ring.size, size=ring.size, dtype=np.int32)
         expected = ring.encode(ring.decode(rows) + ring.decode(step))
         assert np.array_equal(lane(rows, step), expected), ring.label
         assert np.array_equal(gather(rows, step), expected), ring.label
+        assert np.array_equal(ring.add(rows, step), expected), ring.label
         assert np.array_equal(lane(step, step), gather(step, step)), ring.label
+        x, col, row = int(step[0]), step[:16, None], step[None, -16:]
+        assert np.array_equal(ring.add(x, step), table[x, step]), ring.label
+        assert np.array_equal(ring.add(col, row), table[col, row]), ring.label
+        total = ring.add(x, int(step[1]))
+        assert type(total) is int and total == table[x, step[1]], ring.label
 
 
 def test_odd_orders_select_the_gather():
+    # Their fills gather from the addition table, so they build it with the ring.
     for spec in ("Z/12", "GF(9) x Z/4"):
-        assert _lane_sum(build_ring(spec).orders) is None, spec
+        ring = build_ring(spec)
+        assert _lane_sum(ring.orders) is None and ring._add_table is not None, spec
 
 
 if __name__ == "__main__":

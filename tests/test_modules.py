@@ -157,12 +157,15 @@ class TestActTable:
                 assert np.array_equal(module.add_table, sums), module.label
 
     def test_regular_module_shares_the_multiplication_table(self, corpus):
-        # And the addition table, also above the 2,048 elements up to which
-        # other modules build one.
+        # And adds with the ring's own addition, so it builds no addition
+        # table of its own, also above the 2,048 elements up to which other
+        # modules build one.
         for ring in [*corpus.values(), build_ring("Z/2500")]:
             reg = regular_module(ring)
             assert np.shares_memory(reg.act_table, ring.mul_table), ring.label
-            assert reg.add_table is ring.add_table, ring.label
+            x = np.arange(ring.size)
+            assert np.array_equal(reg.add(x, x[::-1]), ring.add(x, x[::-1])), ring.label
+            assert reg._add_table is None, ring.label
 
 
 def gathered_cover_add(module, u, v):

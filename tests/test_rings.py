@@ -23,8 +23,12 @@ from modclass import (
     units,
     verify_ring_axioms,
 )
+from modclass.classify import classify_ring
+from modclass.decompose import krull_schmidt
 from modclass.ideals import _radical, is_local
 from modclass.modules import regular_module, verify_module_axioms
+from modclass.pp import baur_monk_invariant, library_formulas, library_pairs, pp_subgroup_is_right_ideal
+from modclass.properties import is_flat_module, is_free_module, is_projective_module
 from modclass.rings import RingAxiomReport, _fill, _witnesses, base_digits, base_index
 
 
@@ -309,6 +313,26 @@ class TestPeakMemory:
         ok, mb = traced_peak_mb(lambda: verify_module_axioms(module))
         assert ok
         assert mb < self.LIMIT_MB, mb
+
+
+class TestOneRingAddition:
+    """A ring whose additive group is a 2-group adds by lanes everywhere: its
+    construction, classification and the regular module's free, projective,
+    flat, Krull-Schmidt and pp checks never build its addition table."""
+
+    @pytest.mark.parametrize("spec, sizes", [("Z/2048", ((2048, 1),)), ("M(2,GF(8))", ((64, 2),))])
+    def test_two_groups_build_no_addition_table(self, spec, sizes):
+        ring = build_ring(spec)
+        assert classify_ring(ring).finite
+        reg = regular_module(ring)
+        assert is_free_module(reg) and is_projective_module(reg) and is_flat_module(reg)
+        assert krull_schmidt(reg).sizes() == sizes
+        for phi in library_formulas(ring).values():
+            if phi.free == 1:
+                assert pp_subgroup_is_right_ideal(ring, phi), phi.name
+        for phi, psi in library_pairs(ring):
+            baur_monk_invariant(reg, phi, psi)
+        assert ring._add_table is None
 
 
 class TestUnits:
