@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .classify import (
     ClassificationReport,
     classify_matrix_family,
@@ -118,7 +116,7 @@ def cmd_classify(args) -> int:
 def _load_unchecked_ring(path: str) -> FiniteRing:
     label = f"unchecked:{path}"
     orders, one, table = struct_const_fields(json.loads(Path(path).read_text(encoding="utf-8")), label)
-    return FiniteRing(orders, one, label, mul_table=np.asarray(table, dtype=np.int64))
+    return FiniteRing(orders, one, label, mul_table=table)
 
 
 def cmd_check_paper(args) -> int:

@@ -12,13 +12,7 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SizeCapError
-from .modules import (
-    FiniteModule,
-    find_bijective_hom,
-    hom_candidate_blocks,
-    submodule_as_module,
-    submodule_generated,
-)
+from .modules import FiniteModule, _present, find_bijective_hom, hom_candidate_blocks
 from .rings import FiniteRing
 from .verdict import Verdict
 
@@ -302,8 +296,11 @@ def krull_schmidt(
 ) -> DecompositionSignature:
     """Decompose into indecomposables by splitting idempotent endomorphisms.
 
-    Requires End(M) searches within the hom cap.  The output multiset does not
-    depend on the search order; the seeded mode exists to test exactly that.
+    An idempotent pi splits M = pi(M) (+) (1 - pi)(M); each half is presented
+    once, from the images pi(g_j) and the g_j - pi(g_j) of M's generators,
+    and their sizes must multiply to |M|.  Requires End(M) searches within
+    the hom cap.  The output multiset does not depend on the search order;
+    the seeded mode exists to test exactly that.
     """
     cfg = cfg or DEFAULTS
     registry = registry or get_registry(module.ring)
@@ -315,22 +312,14 @@ def krull_schmidt(
         class_id = registry.classify(module, cfg)
         result = DecompositionSignature(registry, ((class_id, 1),))
     else:
-        complement = tuple(
-            module.sub(gen, y) for gen, y in zip(module.gens, images)
-        )
-        part1 = submodule_generated(module, [y for y in images if y])
-        part2 = submodule_generated(module, [z for z in complement if z])
-        if len(part1) * len(part2) != module.size:
+        complement = tuple(module.sub(gen, y) for gen, y in zip(module.gens, images))
+        sub1 = _present(module, images, f"{module.label}|im", cfg)
+        sub2 = _present(module, complement, f"{module.label}|ker", cfg)
+        if sub1.size * sub2.size != module.size:
             raise ConsistencyError(
-                f"{module.label}: idempotent split sizes {len(part1)} x {len(part2)} "
+                f"{module.label}: idempotent split sizes {sub1.size} x {sub2.size} "
                 f"!= {module.size}"
             )
-        sub1 = submodule_as_module(
-            module, part1, label=f"{module.label}|im", generators=images, cfg=cfg
-        )
-        sub2 = submodule_as_module(
-            module, part2, label=f"{module.label}|ker", generators=complement, cfg=cfg
-        )
         sig1 = krull_schmidt(sub1, cfg, rng, registry)
         sig2 = krull_schmidt(sub2, cfg, rng, registry)
         result = sig1.combine(sig2)

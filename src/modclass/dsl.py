@@ -159,7 +159,8 @@ def load_struct_const(path: str | Path, cfg: EngineConfig | None = None) -> Fini
 
 
 def struct_const_fields(data, label: str) -> tuple:
-    """(orders, one, table) of structure-constant JSON, once its keys, types and entries are checked."""
+    """(orders, one, table) of structure-constant JSON, once its keys and types
+    are checked; ``FiniteRing`` checks the table's shape and entry range."""
     if not isinstance(data, dict):
         raise RingSpecError(f"{label}: expected a JSON object")
     missing = {"orders", "one", "table"} - data.keys()
@@ -176,8 +177,6 @@ def struct_const_fields(data, label: str) -> tuple:
         table = None
     if table is None or table.ndim != 2 or table.dtype.kind not in "iu":
         raise RingSpecError(f"{label}: 'table' must be a list of lists of integers")
-    if table.min() < 0 or table.max() >= len(table):
-        raise RingSpecError(f"{label}: 'table' must be a list of lists of integers in 0..{len(table) - 1}")
     return orders, one, table
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .config import DEFAULTS, EngineConfig
 from .errors import ClosureError, SizeCapError
 from .rings import FiniteRing, _add_op, _add_rows, _lane_sum, base_digits, base_index, rows_additive
-from .subgroup import generators, grow, lattice, span, walk
+from .subgroup import generators, lattice, span, walk, zero
 
 _MODULE_ADD_TABLE_LIMIT = 2048
 # Entries per block of rows of the addition and action tables.
@@ -290,7 +290,8 @@ def _submodule_generators(module: FiniteModule, elements: np.ndarray) -> tuple[i
         return None
     mask = np.zeros(module.size, dtype=bool)
     mask[elements] = True
-    spanned, picked = walk(module.add, module.size, elements)
+    spanned = zero(module.size)
+    picked = walk(module.add, spanned, elements)
     if not np.array_equal(spanned, mask):
         return None
     if not mask[module.act_table[np.ix_(module.ring._gens, elements)]].all():
@@ -319,6 +320,15 @@ def all_submodules(module: FiniteModule, limit: int = 20_000) -> list[np.ndarray
     return lattice(module.add, module.size, blocks, limit, f"{module.label}: submodule lattice")
 
 
+def _present(module: FiniteModule, generators: Sequence[int], label: str, cfg: EngineConfig) -> FiniteModule:
+    """The submodule generated by ``generators`` as a module of its own: the
+    map R^g -> M onto it, g its distinct nonzero generators in order."""
+    gens = [x for x in dict.fromkeys(int(v) for v in generators) if x != 0]
+    ring = module.ring
+    digits = base_digits(np.arange(_check_cover(ring, len(gens), label, cfg)), ring.size, len(gens))
+    return FiniteModule(ring, len(gens), module.combine(digits.T, gens), label, cfg)
+
+
 def submodule_as_module(
     module: FiniteModule,
     elements: np.ndarray,
@@ -334,25 +344,14 @@ def submodule_as_module(
     cfg = cfg or DEFAULTS
     elements = np.asarray(elements, dtype=np.int64)
     if generators is None:
-        gens: list[int] = []
-        reached = np.zeros(module.size, dtype=bool)
-        reached[0] = True
-        for x in elements:
-            if not reached[x]:
-                gens.append(int(x))
-                for y in module.act_table[module.ring._gens, x]:
-                    grow(module.add, reached, y)
+        reached = zero(module.size)
+        generators = walk(module.add, reached, elements, lambda x: module.act_table[module.ring._gens, x])
         if np.count_nonzero(reached) != len(elements):
             raise ClosureError(f"{module.label}: elements do not form a submodule")
-    else:
-        gens = [x for x in dict.fromkeys(int(v) for v in generators) if x != 0]
-        if not gens and len(elements) > 1:
-            raise ClosureError("trivial generators for a nontrivial submodule")
-    g = len(gens)
-    ring = module.ring
+    elif len(elements) > 1 and not any(generators):
+        raise ClosureError("trivial generators for a nontrivial submodule")
     label = label or f"sub[{len(elements)}]({module.label})"
-    digits = base_digits(np.arange(_check_cover(ring, g, label, cfg)), ring.size, g)
-    sub = FiniteModule(ring, g, module.combine(digits.T, gens), label, cfg)
+    sub = _present(module, generators, label, cfg)
     if sub.size != len(elements):
         raise ClosureError(f"{label}: presentation size {sub.size} != submodule {len(elements)}")
     return sub

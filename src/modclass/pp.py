@@ -13,7 +13,7 @@ from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SizeCapError
 from .modules import FiniteModule, regular_module, solution_blocks
 from .rings import FiniteRing, base_digits, base_index
-from .subgroup import grow, span
+from .subgroup import span, walk, zero
 from .verdict import Verdict
 
 
@@ -217,23 +217,16 @@ def pp_subgroup_is_right_ideal(
     sols = pp_evaluate(reg, phi, cfg)
     mask = np.zeros(ring.size, dtype=bool)
     mask[sols] = True
-    closed = bool(mask[ring.mul_table[np.ix_(sols, np.arange(ring.size))]].all())
-    if not closed:
-        bad = np.argwhere(~mask[ring.mul_table[np.ix_(sols, np.arange(ring.size))]])[0]
+    inside = mask[ring.mul_table[sols]]  # x·r for every solution x and every r
+    if not inside.all():
+        bad = np.argwhere(~inside)[0]
         return Verdict(
             False,
             witness=(int(sols[bad[0]]), int(bad[1])),
             note="solution set escapes under right multiplication",
         )
-    gens: list[int] = []
-    reached = np.zeros(ring.size, dtype=bool)
-    reached[0] = True
-    for x in sols:
-        if not reached[x]:
-            gens.append(int(x))
-            for y in ring.mul_table[x, ring._gens]:
-                grow(ring.add, reached, y)
-    return Verdict(True, witness=tuple(gens), note=f"right ideal with {len(sols)} elements")
+    gens = walk(ring.add, zero(ring.size), sols, lambda x: ring.mul_table[x, ring._gens])
+    return Verdict(True, witness=gens, note=f"right ideal with {len(sols)} elements")
 
 
 @dataclass(frozen=True)

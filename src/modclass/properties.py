@@ -31,7 +31,7 @@ from .decompose import IdempotentDecomposition, primitive_decomposition
 from .ideals import jacobson_radical
 from .modules import FiniteModule, _relation_generators
 from .rings import FiniteRing
-from .subgroup import grow, span
+from .subgroup import span, walk
 from .verdict import Verdict
 
 
@@ -44,7 +44,7 @@ def _radical_parts(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     return in_radical, np.array(radical.generators, dtype=np.int64)
 
 
-def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposition, list[list[int]]]:
+def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposition, list[tuple[int, ...]]]:
     """R's decomposition and, per class i, the picks whose count is a_i.
 
     One greedy walk: starting from JM, scan e_iM class by class, least
@@ -67,12 +67,7 @@ def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposi
         column = np.unique(ring.mul_table[:, e])  # Re_i, with Je_i = J ∩ Re_i
         simple = len(column) // np.count_nonzero(in_radical[column])  # |S_i|
         before = np.count_nonzero(reached)
-        picks.append([])
-        for m in np.unique(act[e]).tolist():
-            if not reached[m]:
-                for x in act[ring._gens, m]:
-                    grow(module.add, reached, x)
-                picks[-1].append(m)
+        picks.append(walk(module.add, reached, np.unique(act[e]).tolist(), lambda m: act[ring._gens, m]))
         if np.count_nonzero(reached) != before * simple ** len(picks[-1]):
             raise ConsistencyError(f"{module.label}: the picks in e M for e = {e} do not each add |S| = {simple}")
     size = decomposition.sum_size(map(len, picks))
@@ -82,7 +77,7 @@ def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposi
 
 
 def _kernel_verdict(
-    module: FiniteModule, decomposition: IdempotentDecomposition, picks: list[list[int]]
+    module: FiniteModule, decomposition: IdempotentDecomposition, picks: list[tuple[int, ...]]
 ) -> Verdict | None:
     """The "no" of both predicates, when |P(M)| > |M|: the size of the kernel of P(M) -> M."""
     multiplicities = tuple(map(len, picks))

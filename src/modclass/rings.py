@@ -61,9 +61,11 @@ class FiniteRing:
     """A finite unital ring on the carrier {0, ..., size-1}.
 
     Instances are immutable after construction; every operation is read-only.
-    Given only ``gen_products``, the constructor builds the tables itself.  It
-    trusts its input — use :func:`ring_from_tables` or the ring-spec DSL for
-    untrusted input, both of which validate the axioms.
+    Given only ``gen_products``, the constructor builds the tables itself.  A
+    given ``mul_table`` must have shape N x N and entries in 0..N-1, and the
+    identity must lie in the carrier, else RingValidationError; the axioms
+    are trusted — use :func:`ring_from_tables` or the ring-spec DSL for
+    untrusted input, both of which validate them.
     """
 
     def __init__(
@@ -82,7 +84,7 @@ class FiniteRing:
         self.one = int(one)
         self.label = label
         if not 0 <= self.one < self.size:
-            raise ValueError(f"identity index {one} out of range for size {self.size}")
+            raise RingValidationError(f"{label}: identity index {one} out of range for size {self.size}")
 
         self._orders_arr = np.array(orders, dtype=np.int64)
         self._weights = np.concatenate(([1], np.cumprod(self._orders_arr)[:-1]))
@@ -104,9 +106,17 @@ class FiniteRing:
             if gen_products is None:
                 raise ValueError("need mul_table or gen_products")
             mul_table = materialize(self)
+        else:  # checked before the cast, which wraps entries from 2^31 on
+            mul_table = np.asarray(mul_table)
+            if mul_table.shape != (self.size, self.size):
+                raise RingValidationError(
+                    f"{label}: table shape {mul_table.shape} does not match carrier size {self.size}"
+                )
+            if mul_table.min() < 0 or mul_table.max() >= self.size:
+                raise RingValidationError(
+                    f"{label}: 'table' must be a list of lists of integers in 0..{self.size - 1}"
+                )
         self.mul_table = _as_int32(mul_table)
-        if self.mul_table.shape != (self.size, self.size):
-            raise ValueError("mul_table has wrong shape")
 
     # -- encoding ----------------------------------------------------------
 
@@ -708,17 +718,7 @@ def ring_from_tables(
     """Build a ring from explicit structure constants and validate its axioms."""
     cfg = cfg or DEFAULTS
     orders = tuple(int(n) for n in orders)
-    size = reduce(lambda a, b: a * b, orders, 1)
-    _check_size(size, label, cfg)
-    table = np.asarray(table, dtype=np.int64)
-    if table.shape != (size, size):
-        raise RingValidationError(
-            f"{label}: table shape {table.shape} does not match carrier size {size}"
-        )
-    if table.min(initial=0) < 0 or table.max(initial=0) >= size:
-        raise RingValidationError(f"{label}: table entries out of range")
-    if not 0 <= int(one) < size:
-        raise RingValidationError(f"{label}: identity index {one} out of range")
+    _check_size(reduce(lambda a, b: a * b, orders, 1), label, cfg)
     ring = FiniteRing(orders, one=int(one), label=label, mul_table=table)
     report = verify_ring_axioms(ring)
     if not report.ok:

@@ -39,8 +39,12 @@ then sets x <- x + x.  Once x is already marked, 2^i·g = h + j·g with
 j < 2^i, so d·g lies in H for some 1 <= d <= 2^i; the multiples 0..2^i - 1
 then meet every coset of H in H + <g>, and the mask equals H + <g>.  Adding g
 costs one ``add`` call per round, about log2 of the order of g modulo H.
-``walk``, behind ``span`` and ``generators``, calls it once for each element
-not yet spanned.
+
+``walk`` is the one greedy walk, and the only caller of ``grow``: it scans
+elements in order, picks each one not yet marked and grows the mask by what
+the pick generates, the pick itself for ``span`` and ``generators``, its
+products e_i·x with R's additive generators for a generating set of a
+submodule or of a projective cover, x·e_j for a right ideal.
 """
 
 from __future__ import annotations
@@ -72,28 +76,39 @@ def grow(add: Callable, mask: np.ndarray, g: int) -> np.ndarray:
     return members[before:]
 
 
-def walk(add: Callable, size: int, elements: Iterable[int]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The mask of the subgroup spanned by ``elements`` and a greedy additive
-    generating set of it: the elements, in order, not yet spanned by those
-    kept before them."""
+def zero(size: int) -> np.ndarray:
+    """The mask of the subgroup {0} of a carrier of ``size`` elements."""
     mask = np.zeros(size, dtype=bool)
     mask[0] = True
+    return mask
+
+
+def walk(
+    add: Callable, mask: np.ndarray, elements: Iterable[int], parts: Callable | None = None
+) -> tuple[int, ...]:
+    """Grow the subgroup marked in ``mask``, in place, by each of ``elements``
+    not yet marked, in order, and return those picks.  A pick x grows the
+    mask by every element of ``parts(x)``, by default by x alone."""
     picked = []
     for x in elements:
         if not mask[x]:
-            grow(add, mask, x)
+            for y in (x,) if parts is None else parts(x):
+                grow(add, mask, y)
             picked.append(int(x))
-    return mask, tuple(picked)
+    return tuple(picked)
 
 
 def span(add: Callable, size: int, gens: Iterable[int]) -> np.ndarray:
     """Mask over the carrier of the subgroup generated by ``gens``."""
-    return walk(add, size, gens)[0]
+    mask = zero(size)
+    walk(add, mask, gens)
+    return mask
 
 
 def generators(add: Callable, size: int, elements: Iterable[int]) -> tuple[int, ...]:
-    """Greedy additive generating set of the subgroup spanned by ``elements``."""
-    return walk(add, size, elements)[1]
+    """Greedy additive generating set of the subgroup spanned by ``elements``:
+    the elements, in order, not yet spanned by those kept before them."""
+    return walk(add, zero(size), elements)
 
 
 # Pairs gathered per block of a sumset: the int64 operands of a block stay
@@ -146,13 +161,11 @@ def _join_irreducible(
         distinct.setdefault(part.tobytes(), part)
     irreducible: list[np.ndarray] = []
     masks = np.zeros((len(distinct), size), dtype=bool)
-    zero_mask = np.zeros(size, dtype=bool)
-    zero_mask[0] = True
     for part in sorted(distinct.values(), key=len):
         k = len(irreducible)
         masks[k, part] = True
         inside = np.flatnonzero(~masks[:k, ~masks[k]].any(axis=1))
-        joined, joined_mask = np.zeros(1, dtype=np.int64), zero_mask.copy()
+        joined, joined_mask = np.zeros(1, dtype=np.int64), zero(size)
         for i in inside[::-1]:  # largest first: nested parts then cost nothing
             if len(joined) == len(part):
                 break
@@ -171,9 +184,9 @@ def _join_closure(
     """Every sum of the closed ``parts``, {0} included: the closure of {0}
     under A -> A + P for the join-irreducible parts P, one sumset per join."""
     irreducible, masks = _join_irreducible(add, size, parts)
-    zero = np.zeros(1, dtype=np.int64)
-    found: dict[bytes, np.ndarray] = {zero.tobytes(): zero}
-    queue = [zero]
+    bottom = np.zeros(1, dtype=np.int64)
+    found: dict[bytes, np.ndarray] = {bottom.tobytes(): bottom}
+    queue = [bottom]
     while queue:
         base = queue.pop()
         base_mask = np.zeros(size, dtype=bool)

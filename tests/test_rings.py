@@ -154,6 +154,24 @@ class TestConstructions:
         assert not report.right_distributive and not report.left_distributive
         assert ("right_distributivity", 1234, 2345) in report.failures
 
+    @pytest.mark.parametrize("entry", [6, 2**32 + 1, -1])
+    def test_table_entries_outside_the_carrier_rejected(self, entry):
+        # Checked on the table as given: an int32 cast would wrap 2^32 + 1 to 1.
+        table = (np.arange(6)[:, None] * np.arange(6)[None, :]) % 6
+        table[2, 3] = entry
+        for given in (table, table.tolist()):
+            with pytest.raises(RingValidationError, match=r"^Z6: 'table' must be .* in 0\.\.5$"):
+                FiniteRing((6,), 1, "Z6", mul_table=given)
+            with pytest.raises(RingValidationError, match=r"^Z6: 'table' must be"):
+                ring_from_tables([6], 1, given, label="Z6")
+
+    def test_table_shape_and_identity_checked_with_the_label(self):
+        table = (np.arange(6)[:, None] * np.arange(6)[None, :]) % 6
+        with pytest.raises(RingValidationError, match=r"^Z6: table shape \(6, 5\) does not match carrier size 6$"):
+            FiniteRing((6,), 1, "Z6", mul_table=table[:, :5])
+        with pytest.raises(RingValidationError, match="^Z6: identity index 6 out of range"):
+            ring_from_tables([6], 6, table, label="Z6")
+
     def test_non_associative_biadditive_table(self):
         # A 512-element GF(2)-algebra with identity e_0 and random products of
         # the other generators: biadditive and order-compatible, not associative.
@@ -309,7 +327,7 @@ class TestPeakMemory:
         # The module's own rows are checked in blocks, not against a
         # |R| x |M| doubling fill.
         module = regular_module(build_ring("Z/4096"))
-        module.act_table, module.add_table  # the tables, built before tracing
+        module.act_table, module._add_op()  # what the check reads, built before tracing
         ok, mb = traced_peak_mb(lambda: verify_module_axioms(module))
         assert ok
         assert mb < self.LIMIT_MB, mb

@@ -23,7 +23,7 @@ from modclass import (
     regular_module,
 )
 from modclass.ideals import IDEAL_ENUM_CAP
-from modclass.subgroup import _join_irreducible, generators, grow, lattice, span
+from modclass.subgroup import _join_irreducible, generators, grow, lattice, span, walk, zero
 from test_rings import traced_peak_mb
 
 
@@ -65,6 +65,56 @@ def test_rank_two_free_modules_match_oracle():
         module = free_module(build_ring(spec), 2)
         pairs = [[x, y] for x in range(module.size) for y in range(x, module.size)]
         check_against_oracle(module.add, module.size, pairs)
+
+
+# -- the greedy walk against the pick loop it replaced ---------------------------
+
+
+def pick_loop(add, mask, elements, parts):
+    """The greedy loop written out: pick each element not yet marked, in
+    order, and grow the mask by every one of its parts."""
+    picks = []
+    for x in elements:
+        if not mask[x]:
+            picks.append(int(x))
+            for y in parts(x):
+                grow(add, mask, y)
+    return picks
+
+
+def left_products(module):
+    """x -> e_i·x for R's additive generators e_i."""
+    return lambda x: module.act_table[module.ring._gens, x]
+
+
+def right_products(module):
+    """x -> x·e_j for R's additive generators e_j, coordinate by coordinate on
+    the free module R^g, whose carrier elements are its cover indices."""
+    ring = module.ring
+    return lambda x: module._cover_encode(ring.mul_table[module.coords(x)[:, None], ring._gens].T)
+
+
+def test_walk_matches_the_pick_loop(corpus):
+    rng = np.random.default_rng(0)
+    cfg = DEFAULTS.with_overrides(max_module=81**2)  # R^2 over M(2,GF(3))
+    for spec in BUILTIN_CORPUS_SPECS:
+        for rank in (1, 2):
+            module = free_module(corpus[spec], rank, cfg)
+            add, size = module.add, module.size
+            start = zero(size)
+            start[cyclic_submodule(module, int(rng.integers(1, size)))] = True
+            for parts in (left_products(module), right_products(module)):
+                for order in (np.arange(size), rng.permutation(size)):
+                    for marked in (zero(size), start):
+                        expected = marked.copy()
+                        picks = pick_loop(add, expected, order, parts)
+                        mask = marked.copy()
+                        assert walk(add, mask, order, parts) == tuple(picks), (spec, rank)
+                        assert np.array_equal(mask, expected), (spec, rank)
+            # Nothing already marked is picked, and the mask stays as it was.
+            mask = start.copy()
+            assert walk(add, mask, np.flatnonzero(start), left_products(module)) == ()
+            assert np.array_equal(mask, start)
 
 
 # -- the block-split lattice against the unsplit join-closure --------------------
@@ -179,7 +229,7 @@ def test_lattice_joins_in_bounded_memory(spec, rank):
     # near 40 MB.
     reg = regular_module(build_ring(spec))
     module = reg if rank == 1 else direct_sum(reg, reg)
-    module.act_table, module.add_table  # built before the trace starts
+    module.act_table, module._add_op()  # what all_submodules reads, built before the trace starts
     expected = len(all_submodules(module))
     members, mb = traced_peak_mb(lambda: all_submodules(module))
     assert len(members) == expected
