@@ -265,6 +265,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SPEC
     except SizeCapError as exc:
         print(f"cap exhausted: {exc}", file=sys.stderr)
+        hint = f"the {exc.cap} cap of {exc.limit} has no flag of its own"
+        if exc.cap in ("max_ring", "max_module", "max_homs"):
+            hint = f"rerun with --{exc.cap.replace('_', '-')} {exc.requested} or more"
+        print(hint, file=sys.stderr)
         return EXIT_CAPS
     except ModclassError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

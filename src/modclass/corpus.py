@@ -27,7 +27,8 @@ from .errors import SizeCapError
 from .ideals import jacobson_radical
 from .modules import (
     FiniteModule,
-    all_submodules,
+    _quotient,
+    _submodule_lattice,
     cyclic_submodule,
     direct_sum,
     quotient_module,
@@ -113,10 +114,11 @@ def generated_module_family(
         base = regular_module(ring, cfg)
         if rank == 2:
             base = direct_sum(base, base, cfg)
-        for sub in all_submodules(base):
-            family.append(
-                quotient_module(base, sub, label=f"{ring.label}^{rank}/[{len(sub)}]", cfg=cfg)
-            )
+        for sub, seeds in _submodule_lattice(base):
+            # N joins the cyclic parts R·w, so the e_i·w span it: no walk over N.
+            spanning = np.unique(base.act_table[ring._gens[:, None], seeds]).astype(np.int64)
+            label = f"{ring.label}^{rank}/[{len(sub)}]"
+            family.append(_quotient(base, sub, spanning[spanning != 0], label, cfg))
     return family
 
 

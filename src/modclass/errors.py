@@ -21,7 +21,18 @@ class RingValidationError(ModclassError):
 
 
 class SizeCapError(ModclassError):
-    """A carrier, enumeration, or search exceeded its configured cap."""
+    """A carrier, enumeration, or search exceeded its configured cap: ``cap`` names it (an
+    ``EngineConfig`` field, "free_cover", "ideal_enum" or "lattice"), above ``limit`` at ``requested``."""
+
+    def __init__(self, message: str, *, cap: str, requested: int, limit: int):
+        super().__init__(message)
+        self.cap, self.requested, self.limit = cap, requested, limit
+
+
+def check_cap(cap: str, requested: int, limit: int, message: str) -> None:
+    """Raise SizeCapError(message) for ``cap`` when ``requested`` is above ``limit``."""
+    if requested > limit:
+        raise SizeCapError(message, cap=cap, requested=requested, limit=limit)
 
 
 class SideError(ModclassError):

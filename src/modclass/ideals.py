@@ -14,7 +14,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .decompose import central_primitive_idempotents
-from .errors import ConsistencyError, SideError, SizeCapError
+from .errors import ConsistencyError, SideError, check_cap
 from .rings import FiniteRing, row_blocks, unit_mask
 from .subgroup import generators, lattice, span
 from .verdict import Verdict
@@ -68,13 +68,13 @@ def one_sided_ideals(ring: FiniteRing, side: Side) -> list[tuple[int, ...]]:
     ``subgroup.lattice`` over the cyclic ideals of x in c_b·R, one block per
     central primitive idempotent c_b.  Guarded by ``IDEAL_ENUM_CAP``.
     """
-    if ring.size > IDEAL_ENUM_CAP:
-        raise SizeCapError(f"ideal lattice of {ring.label}: size {ring.size} above cap {IDEAL_ENUM_CAP}")
+    message = f"ideal lattice of {ring.label}: size {ring.size} above cap {IDEAL_ENUM_CAP}"
+    check_cap("ideal_enum", ring.size, IDEAL_ENUM_CAP, message)
     blocks = (
         (ideal_generated(ring, side, [x]).elements for x in np.unique(ring.mul_table[c]))
         for c in central_primitive_idempotents(ring)
     )
-    return [tuple(int(v) for v in part) for part in lattice(ring.add, ring.size, blocks)]
+    return [tuple(int(v) for v in part) for part, _ in lattice(ring.add, ring.size, blocks)]
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:

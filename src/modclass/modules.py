@@ -28,11 +28,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
-from .errors import ClosureError, SizeCapError
+from .errors import ClosureError, check_cap
 from .rings import FiniteRing, _add_op, _add_rows, _lane_sum, base_digits, base_index, rows_additive
 from .subgroup import generators, lattice, span, walk, zero
 
 _MODULE_ADD_TABLE_LIMIT = 2048
+_LATTICE_LIMIT = 20_000  # submodules in one lattice
 # Entries per block of rows of the addition and action tables.
 _BLOCK = 1 << 16
 # Tuples evaluated per block by ``solution_blocks``: the int64 temporaries of a
@@ -64,8 +65,8 @@ class FiniteModule:
         np.minimum.at(first, phi, cover)
         self.rep = np.flatnonzero(first[phi] == cover)
         self.size = len(self.rep)
-        if self.size > cfg.max_module:
-            raise SizeCapError(f"{label}: module size {self.size} above cap {cfg.max_module}")
+        message = f"{label}: module size {self.size} above cap {cfg.max_module}"
+        check_cap("max_module", self.size, cfg.max_module, message)
         rank = np.empty_like(first)
         rank[phi[self.rep]] = np.arange(self.size)
         self.cls = rank[phi]
@@ -206,9 +207,8 @@ class FiniteModule:
 def _check_cover(ring: FiniteRing, g: int, label: str, cfg: EngineConfig) -> int:
     """|R|^g, refused above max(max_module, max_homs): a presentation holds
     arrays over its whole free cover."""
-    cover = ring.size**g
-    if cover > max(cfg.max_module, cfg.max_homs):
-        raise SizeCapError(f"{label}: free cover {cover} above cap")
+    cover, limit = ring.size**g, max(cfg.max_module, cfg.max_homs)
+    check_cap("free_cover", cover, limit, f"{label}: free cover {cover} above cap")
     return cover
 
 
@@ -218,8 +218,8 @@ def free_module(ring: FiniteRing, rank: int, cfg: EngineConfig | None = None) ->
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
     size = ring.size**rank
-    if size > cfg.max_module:
-        raise SizeCapError(f"free module {ring.label}^{rank}: size {size} above cap {cfg.max_module}")
+    message = f"free module {ring.label}^{rank}: size {size} above cap {cfg.max_module}"
+    check_cap("max_module", size, cfg.max_module, message)
     return FiniteModule(ring, rank, np.arange(size), f"{ring.label}^{rank}", cfg)
 
 
@@ -304,12 +304,8 @@ def is_submodule(module: FiniteModule, elements: np.ndarray) -> bool:
     return _submodule_generators(module, np.asarray(elements, dtype=np.int64)) is not None
 
 
-def all_submodules(module: FiniteModule, limit: int = 20_000) -> list[np.ndarray]:
-    """Every submodule, sorted by size then elements, as sorted element indices:
-    ``subgroup.lattice`` over the cyclic submodules R·x, x in c_b·M, one block
-    per central primitive idempotent c_b.  More than ``limit`` submodules
-    raises SizeCapError.
-    """
+def _submodule_lattice(module: FiniteModule, limit: int = _LATTICE_LIMIT) -> list[tuple]:
+    """``all_submodules``, each N with the seeds w of the parts R·w it joins."""
     from .decompose import central_primitive_idempotents  # decompose imports this module
 
     act = module.act_table
@@ -318,6 +314,15 @@ def all_submodules(module: FiniteModule, limit: int = 20_000) -> list[np.ndarray
         for c in central_primitive_idempotents(module.ring)
     )
     return lattice(module.add, module.size, blocks, limit, f"{module.label}: submodule lattice")
+
+
+def all_submodules(module: FiniteModule, limit: int = _LATTICE_LIMIT) -> list[np.ndarray]:
+    """Every submodule, sorted by size then elements, as sorted element indices:
+    ``subgroup.lattice`` over the cyclic submodules R·x, x in c_b·M, one block
+    per central primitive idempotent c_b.  More than ``limit`` submodules
+    raises SizeCapError.
+    """
+    return [sub for sub, _ in _submodule_lattice(module, limit)]
 
 
 def _present(module: FiniteModule, generators: Sequence[int], label: str, cfg: EngineConfig) -> FiniteModule:
@@ -363,12 +368,18 @@ def quotient_module(
     label: str | None = None,
     cfg: EngineConfig | None = None,
 ) -> FiniteModule:
-    """M / N for a submodule N given by its carrier element indices."""
-    cfg = cfg or DEFAULTS
+    """M / N for a submodule N given by its carrier element indices.  Over a
+    free base R^g the relation submodule K is N: its generators are kept."""
     sub = np.unique(np.asarray(submodule, dtype=np.int64))
     sub_gens = _submodule_generators(module, sub)
     if sub_gens is None:
         raise ClosureError(f"{module.label}: quotient by a non-submodule")
+    return _quotient(module, sub, np.array(sub_gens, dtype=np.int64), label, cfg)
+
+
+def _quotient(module: FiniteModule, sub: np.ndarray, sub_gens: np.ndarray, label, cfg) -> FiniteModule:
+    """``quotient_module`` for a submodule N (sorted) spanned additively by ``sub_gens``: no walk over N."""
+    cfg = cfg or DEFAULTS
     if len(sub) == 1:
         return module
     label = label or f"({module.label})/[{len(sub)}]"
@@ -378,11 +389,15 @@ def quotient_module(
     carrier = np.arange(module.size)
     best = carrier
     rounds = (lcm(*module.ring.orders) - 1).bit_length()
-    for h in sub_gens:
+    for h in sub_gens.tolist():
         for _ in range(rounds):
             best = np.minimum(best, best[module.add(carrier, h)])
             h = module.add(h, h)
-    return FiniteModule(module.ring, module.num_generators, best[module.cls], label, cfg)
+    quotient = FiniteModule(module.ring, module.num_generators, best[module.cls], label, cfg)
+    if module.size == module.cover_size:  # free: K = N in cover indices
+        sub_gens.flags.writeable = False
+        quotient._relation_gens = sub_gens
+    return quotient
 
 
 def direct_sum(
@@ -444,8 +459,8 @@ def identity_hom(module: FiniteModule) -> ModuleHom:
 
 
 def _relation_generators(module: FiniteModule) -> np.ndarray:
-    """Additive generators of the relation submodule inside the free cover
-    (computed once per module)."""
+    """Additive generators of the relation submodule inside the free cover,
+    computed once per module, or kept by a quotient R^g / N, whose K is N."""
     if module._relation_gens is None:
         gens = np.array(generators(module.cover_add, module.cover_size, module.relations), dtype=np.int64)
         gens.flags.writeable = False
@@ -474,8 +489,7 @@ def solution_blocks(
     """
     m, width = module.size, rows.shape[1]
     space = m**width
-    if space > cfg.max_homs:
-        raise SizeCapError(f"{what} {space} above cap {cfg.max_homs}")
+    check_cap("max_homs", space, cfg.max_homs, f"{what} {space} above cap {cfg.max_homs}")
     a, b = 1, 0
     if rng is not None and space > 1:
         a = int(rng.integers(1, space))

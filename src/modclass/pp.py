@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
-from .errors import ConsistencyError, SizeCapError
+from .errors import ConsistencyError, check_cap
 from .modules import FiniteModule, regular_module, solution_blocks
 from .rings import FiniteRing, base_digits, base_index
 from .subgroup import span, walk, zero
@@ -161,8 +161,7 @@ def _solution_mask(module: FiniteModule, phi: PPFormula, cfg: EngineConfig) -> n
         residual = module._pp_masks[key] = _eliminate(module.ring, phi)
     m, width = module.size, residual.rows.shape[1]
     what = f"pp evaluation on {module.label}: residual witness space"
-    if m**width > cfg.max_homs:
-        raise SizeCapError(f"{what} {m**width} above cap {cfg.max_homs}")
+    check_cap("max_homs", m**width, cfg.max_homs, f"{what} {m**width} above cap {cfg.max_homs}")
     if residual.mask is None:
         mask = np.zeros(m**phi.free, dtype=bool)
         coefficients = residual.outputs.T[:, :, None]  # (width, free, 1)

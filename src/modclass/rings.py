@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
-from .errors import RingValidationError, SizeCapError
+from .errors import RingValidationError, check_cap
 
 
 def _as_int32(a) -> np.ndarray:
@@ -492,8 +492,7 @@ def unit_mask(ring: FiniteRing) -> np.ndarray:
 
 
 def _check_size(size: int, label: str, cfg: EngineConfig) -> None:
-    if size > cfg.max_ring:
-        raise SizeCapError(f"{label}: carrier size {size} exceeds ring cap {cfg.max_ring}")
+    check_cap("max_ring", size, cfg.max_ring, f"{label}: carrier size {size} exceeds ring cap {cfg.max_ring}")
 
 
 def cyclic_ring(n: int, label: str | None = None, cfg: EngineConfig | None = None) -> FiniteRing:

@@ -26,11 +26,12 @@ A block is closed from its join-irreducible parts alone: every element of a
 finite lattice is the join of the join-irreducibles below it, and a part is
 join-irreducible iff the parts strictly inside it join to less than it.  The
 67 submodules of R² over M(2,GF(2)) are the closure of {0} under joins with
-its 15 simple submodules, not with all 51 cyclic ones.  A join A + P is one
-sumset: the larger of the two when one contains the other, else the cosets
-A + y, y in P, gathered through ``add`` in blocks of at most 2^16 pairs, so
-that the nested members of a chain such as the ideals of Z/2048 cost no
-gather at all.
+its 15 simple submodules, not with all 51 cyclic ones.  Each member is
+built once, from its canonical parent (``_join_closure``), and carries the
+seeds w of the parts R·w it was joined from: its additive generators e_i·w
+need no walk over it.  A join A + P is one sumset: the larger of the two
+when one contains the other, else the cosets A + y, y in P, gathered in
+blocks of at most 2^16 pairs, so that nested members cost no gather.
 
 ``grow`` adds one generator g to a marked subgroup H by doubling.  After i
 rounds the mask holds H + {0, ..., 2^i - 1}·g.  The next round shifts
@@ -118,9 +119,9 @@ _PAIRS = 1 << 16
 
 def _sumset(
     add: Callable, a: np.ndarray, a_mask: np.ndarray, b: np.ndarray, b_mask: np.ndarray
-) -> np.ndarray:
-    """A + B as sorted element indices, for two subgroups each given as sorted
-    element indices and as a mask.
+) -> tuple[np.ndarray, np.ndarray]:
+    """A + B as sorted element indices and as a mask, for two subgroups each
+    given as sorted element indices and as a mask.
 
     When one contains the other the larger is returned as it is.  Otherwise
     A + B is the union of the cosets A + y, y in B, for the larger A, gathered
@@ -128,9 +129,9 @@ def _sumset(
     already marked lies in a coset gathered before and is skipped.
     """
     if a_mask[b].all():
-        return a
+        return a, a_mask
     if b_mask[a].all():
-        return b
+        return b, b_mask
     if len(a) < len(b):
         a, a_mask, b = b, b_mask, a
     mask = a_mask.copy()
@@ -140,26 +141,27 @@ def _sumset(
         ys = ys[~mask[ys]]
         if len(ys):
             mask[add(np.tile(a, len(ys)), np.repeat(ys, len(a)))] = True
-    return np.flatnonzero(mask)
+    return np.flatnonzero(mask), mask
 
 
 def _join_irreducible(
     add: Callable, size: int, parts: Iterable[np.ndarray]
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray, list[int]]:
     """The distinct ``parts`` that are not the join of the parts strictly
-    inside them, smallest first, and their masks as rows.
+    inside them, smallest first, their masks as rows, and for each its seed:
+    its least element outside the join of the irreducible parts inside it.
 
     Every sum of parts is a sum of these: a part that is the join of the
     parts inside it is, by induction on size, a sum of the irreducible ones
     inside it.  So only they are needed, and a part is irreducible iff the
     irreducible parts strictly inside it join to less than it.  {0}, the
-    empty join, is never irreducible.
+    empty join, is never irreducible.  When the parts are the cyclic R·x of
+    every x in their block, a seed w generates its part P (R·w is a part in
+    P, and not in that join), so a sum of parts holds P iff it holds w.
     """
-    distinct = {}
-    for part in parts:
-        part = np.asarray(part, dtype=np.int64)
-        distinct.setdefault(part.tobytes(), part)
+    distinct = {part.tobytes(): part for part in (np.asarray(p, dtype=np.int64) for p in parts)}
     irreducible: list[np.ndarray] = []
+    seeds: list[int] = []
     masks = np.zeros((len(distinct), size), dtype=bool)
     for part in sorted(distinct.values(), key=len):
         k = len(irreducible)
@@ -169,58 +171,57 @@ def _join_irreducible(
         for i in inside[::-1]:  # largest first: nested parts then cost nothing
             if len(joined) == len(part):
                 break
-            joined = _sumset(add, joined, joined_mask, irreducible[i], masks[i])
-            joined_mask[joined] = True
+            joined, joined_mask = _sumset(add, joined, joined_mask, irreducible[i], masks[i])
         if len(joined) < len(part):
             irreducible.append(part)
+            seeds.append(int(part[~joined_mask[part]][0]))
         else:
             masks[k] = False
-    return irreducible, masks[: len(irreducible)]
+    return irreducible, masks[: len(irreducible)], seeds
 
 
 def _join_closure(
     add: Callable, size: int, parts: Iterable[np.ndarray], limit: int | None, name: str
-) -> list[np.ndarray]:
-    """Every sum of the closed ``parts``, {0} included: the closure of {0}
-    under A -> A + P for the join-irreducible parts P, one sumset per join."""
-    irreducible, masks = _join_irreducible(add, size, parts)
+) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Every sum of the cyclic ``parts``, {0} included, built once, with the
+    seeds of the irreducible parts P_0, P_1, ... it was joined from, less those
+    inside a later one.  A + P_i, A last joined with P_l, is kept iff i > l and
+    no seed of a P_j, j < i, outside A lies in it (Ganter's NextClosure test).
+    With I(C) the j with P_j in C and cl(S) the join of the P_j, j in S, C != {0}
+    is kept from one pair only, i least with cl(I(C) ∩ [0, i]) = C and A =
+    cl(I(C) ∩ [0, i)): a kept C = A + P_i has I(C) ∩ [0, i) = I(A) ∩ [0, i), forcing both."""
+    irreducible, masks, seeds = _join_irreducible(add, size, parts)
     bottom = np.zeros(1, dtype=np.int64)
-    found: dict[bytes, np.ndarray] = {bottom.tobytes(): bottom}
-    queue = [bottom]
-    while queue:
-        base = queue.pop()
-        base_mask = np.zeros(size, dtype=bool)
-        base_mask[base] = True
-        for part, part_mask in zip(irreducible, masks):
-            joined = _sumset(add, base, base_mask, part, part_mask)
-            if joined is base:
+    members = [(bottom, ())]
+    stack = [(bottom, zero(size), np.zeros(len(irreducible), dtype=bool), 0, ())]
+    while stack:
+        base, base_mask, base_in, first, joined_from = stack.pop()
+        for i in first + np.flatnonzero(~base_in[first:]):
+            joined, joined_mask = _sumset(add, base, base_mask, irreducible[i], masks[i])
+            joined_in = joined_mask[seeds]  # which P_j lie in it
+            if (joined_in[:i] != base_in[:i]).any():
                 continue
-            key = joined.tobytes()
-            if key not in found:
-                if limit is not None and len(found) >= limit:
-                    raise SizeCapError(f"{name} above {limit}")
-                found[key] = joined
-                queue.append(joined)
-    return list(found.values())
+            if limit is not None and len(members) >= limit:
+                raise SizeCapError(f"{name} above {limit}", cap="lattice", requested=limit + 1, limit=limit)
+            members.append((joined, tuple(w for w in joined_from if not masks[i][w]) + (seeds[i],)))
+            stack.append((joined, joined_mask, joined_in, i + 1, members[-1][1]))
+    return members
 
 
 def lattice(
-    add: Callable,
-    size: int,
-    blocks: Iterable[Iterable[np.ndarray]],
-    limit: int | None = None,
-    name: str = "lattice",
-) -> list[np.ndarray]:
+    add: Callable, size: int, blocks: Iterable[Iterable], limit: int | None = None, name: str = "lattice"
+) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """Every sum of the closed ``parts`` (ideals or submodules, each as sorted
     element indices), grouped into ``blocks``, as sorted element-index arrays
-    sorted by (size, elements).
+    sorted by (size, elements), each paired with the seeds of irreducible
+    parts that join to it (``_join_closure``).
 
     The ideals or submodules of a ring or module are exactly the sums of its
-    cyclic ones, so passing those as parts yields the whole lattice.  Over
-    the central primitive idempotents c_b of R, M = (+) c_b M and every
+    cyclic ones, so passing those, R·x for every x, yields the whole lattice.
+    Over the central primitive idempotents c_b of R, M = (+) c_b M and every
     submodule N = (+) c_b N, so Sub(M) = prod Sub(c_b M): each block is the
-    cyclic parts inside one c_b M, each block's lattice is closed on its own,
-    and the result is every direct sum N_1 + ... + N_k, one N_b per block.
+    R·x, x in c_b M, each block's lattice is closed on its own, and the
+    result is every direct sum N_1 + ... + N_k, one N_b per block.
     A block's lattice with more than ``limit`` members, or a product of block
     counts above it, raises SizeCapError("<name> above <limit>") before any
     direct sum is built.
@@ -231,12 +232,12 @@ def lattice(
         lattices.append(_join_closure(add, size, parts, limit, name))
         count *= len(lattices[-1])
         if limit is not None and count > limit:
-            raise SizeCapError(f"{name} above {limit}")
-    sums = [np.zeros(1, dtype=np.int64)]
-    for members in lattices:
+            raise SizeCapError(f"{name} above {limit}", cap="lattice", requested=count, limit=limit)
+    sums = lattices[0] if lattices else [(np.zeros(1, dtype=np.int64), ())]
+    for members in lattices[1:]:
         sums = [
-            np.sort(add(a[:, None], b[None, :]), axis=None).astype(np.int64, copy=False)
-            for a in sums
-            for b in members
+            (np.sort(add(a[:, None], b[None, :]), axis=None).astype(np.int64, copy=False), a_from + b_from)
+            for a, a_from in sums
+            for b, b_from in members
         ]
-    return sorted(sums, key=lambda a: (len(a), a.tolist()))
+    return sorted(sums, key=lambda s: (len(s[0]), s[0].tolist()))

@@ -99,6 +99,91 @@ class TestCapFlags:
         assert "not both" in err
 
 
+class TestCapHints:
+    """A cap error carries its cap, and the CLI adds one line: the flag that
+    raises it, or that it has none."""
+
+    def test_ring_cap_names_its_flag(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "Z/64", "--max-ring", "16")
+        assert code == EXIT_CAPS
+        assert err == (
+            "cap exhausted: Z/64: carrier size 64 exceeds ring cap 16\n"
+            "rerun with --max-ring 64 or more\n"
+        )
+
+    def test_module_cap_names_its_flag(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "Z/8", "--max-module", "4")
+        assert code == EXIT_CAPS
+        assert err == "cap exhausted: P1(Z/8): module size 8 above cap 4\nrerun with --max-module 8 or more\n"
+
+    def test_hom_cap_names_its_flag(self, capsys, tmp_path):
+        formula = tmp_path / "phi.json"
+        formula.write_text(json.dumps({"free": 1, "bound": 1, "eqs": [[2, 2]]}))
+        code, _, err = run_cli(capsys, "ppval", "Z/4", str(formula), "--max-homs", "8")
+        assert code == EXIT_CAPS
+        assert err.endswith("residual witness space 16 above cap 8\nrerun with --max-homs 16 or more\n")
+
+    def test_free_cover_has_no_flag(self, capsys):
+        # max(max_module, max_homs) bounds a presentation's free cover.
+        argv = ("check-paper", "--seeds", "1", "--max-module", "64", "--max-homs", "64")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_CAPS
+        assert err.endswith("free cover 144 above cap\nthe free_cover cap of 64 has no flag of its own\n")
+
+    # No command reaches IDEAL_ENUM_CAP or a lattice limit: the engine checks
+    # the ring size before it enumerates ideals, and no corpus lattice nears
+    # 20,000 members.  The radical command stands in for a command that does.
+
+    def test_ideal_cap_has_no_flag(self, capsys, monkeypatch):
+        monkeypatch.setattr(modclass.cli, "jacobson_radical", lambda ring: modclass.one_sided_ideals(ring, "left"))
+        code, _, err = run_cli(capsys, "radical", "Z/128")
+        assert code == EXIT_CAPS
+        assert err == (
+            "cap exhausted: ideal lattice of Z/128: size 128 above cap 64\n"
+            "the ideal_enum cap of 64 has no flag of its own\n"
+        )
+
+    def test_lattice_limit_has_no_flag(self, capsys, monkeypatch):
+        def submodules(ring):
+            return modclass.all_submodules(modclass.regular_module(ring), limit=2)
+
+        monkeypatch.setattr(modclass.cli, "jacobson_radical", submodules)
+        code, _, err = run_cli(capsys, "radical", "Z/8")
+        assert code == EXIT_CAPS
+        assert err == (
+            "cap exhausted: Z/8^1: submodule lattice above 2\n"
+            "the lattice cap of 2 has no flag of its own\n"
+        )
+
+
+def _raise_cap(call):
+    with pytest.raises(modclass.SizeCapError) as info:
+        call()
+    return info.value
+
+
+def test_every_cap_raise_fills_its_fields():
+    cfg = modclass.DEFAULTS.with_overrides
+    z4, z6, z8 = (modclass.build_ring(spec) for spec in ("Z/4", "Z/6", "Z/8"))
+    reg4, reg6 = modclass.regular_module(z4), modclass.regular_module(z6)
+    phi = modclass.PPFormula.from_json_dict({"free": 1, "bound": 1, "eqs": [[2, 2]]})
+    cases = [
+        (lambda: modclass.build_ring("Z/64", cfg(max_ring=16)), ("max_ring", 64, 16)),
+        (lambda: modclass.FiniteModule(z8, 1, np.arange(8), "M", cfg(max_module=4)), ("max_module", 8, 4)),
+        (lambda: modclass.free_module(z4, 2, cfg(max_module=10)), ("max_module", 16, 10)),
+        (lambda: modclass.direct_sum(reg6, reg6, cfg(max_module=20, max_homs=30)), ("free_cover", 36, 30)),
+        (lambda: modclass.hom_enumerate(reg6, reg6, cfg(max_homs=5)), ("max_homs", 6, 5)),
+        (lambda: modclass.pp_evaluate(reg4, phi, cfg(max_homs=8)), ("max_homs", 16, 8)),
+        (lambda: modclass.one_sided_ideals(modclass.build_ring("Z/128"), "left"), ("ideal_enum", 128, 64)),
+        # Z/8 has 4 submodules in one block; R^2 over Z/6 has blocks of 5 and 6.
+        (lambda: modclass.all_submodules(modclass.regular_module(z8), limit=2), ("lattice", 3, 2)),
+        (lambda: modclass.all_submodules(modclass.direct_sum(reg6, reg6), limit=10), ("lattice", 30, 10)),
+    ]
+    for call, fields in cases:
+        exc = _raise_cap(call)
+        assert (exc.cap, exc.requested, exc.limit) == fields, str(exc)
+
+
 class TestEnvOverride:
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("MODCLASS_MAX_SIZE", "10")

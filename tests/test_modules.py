@@ -32,9 +32,12 @@ from modclass import (
     FiniteModule,
     submodule_generated,
 )
-from modclass.modules import is_submodule
+from modclass import ideals as ideals_module, modules as modules_module, subgroup as subgroup_module
+from modclass.corpus import BUILTIN_CORPUS_SPECS
+from modclass.modules import _relation_generators, hom_candidate_blocks, is_submodule
+from modclass.properties import is_flat_module, is_projective_module
 from modclass.rings import _fill, base_digits, base_index
-from modclass.subgroup import span
+from modclass.subgroup import generators, span
 
 
 class TestConstruction:
@@ -440,3 +443,80 @@ class TestSubmodules:
         mask[sub] = True
         assert mask[reg.add(sub[:, None], sub[None, :])].all()
         assert mask[reg.act_table[:, sub]].all()
+
+
+def family_bases(ring):
+    """R and R^2 as ``generated_module_family`` builds them, in its order."""
+    reg = regular_module(ring)
+    return [reg] + ([direct_sum(reg, reg)] if reg.size**2 <= DEFAULTS.max_module else [])
+
+
+class TestQuotientFamily:
+    """The family's quotients, built from the lattice's parts, against the
+    public ``quotient_module`` and its walk over each N."""
+
+    def test_join_route_matches_the_public_quotient(self, corpus):
+        count = 0
+        for ring in corpus.values():
+            family = iter(generated_module_family(ring))
+            for base in family_bases(ring):
+                for sub in all_submodules(base):
+                    module = next(family)
+                    public = quotient_module(base, sub, label=module.label)
+                    for name in ("act_table", "cls", "rep"):
+                        ours, theirs = getattr(module, name), getattr(public, name)
+                        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), module.label
+                    relations = np.zeros(module.cover_size, dtype=bool)
+                    relations[module.relations] = True
+                    spanned = span(module.cover_add, module.cover_size, _relation_generators(module))
+                    assert np.array_equal(spanned, relations), module.label
+                    count += 1
+            assert next(family, None) is None
+        assert count == 781
+
+    def test_hom_blocks_do_not_depend_on_the_relation_generators(self, corpus):
+        compared = 0
+        for spec in ("Z/4", "Z/6", "Z/8", "T(2,GF(2))"):
+            ring = corpus[spec]
+            family = [m for m in generated_module_family(ring) if m.size <= 8]
+            for source in family:
+                walked = quotient_module(family_bases(ring)[source.num_generators - 1], source.relations)
+                walked._relation_gens = np.array(
+                    generators(walked.cover_add, walked.cover_size, walked.relations), dtype=np.int64
+                )
+                if np.array_equal(_relation_generators(source), walked._relation_gens):
+                    continue
+                compared += 1
+                for target in family[:6]:
+                    ours = list(hom_candidate_blocks(source, target))
+                    theirs = list(hom_candidate_blocks(walked, target))
+                    assert len(ours) == len(theirs), (source.label, target.label)
+                    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs)), (source.label, target.label)
+        assert compared >= 20
+
+    def test_the_family_walks_no_submodule(self, monkeypatch):
+        # What the checks keep on each ring (its radical and decomposition) is
+        # built first: only the family and its checks are counted.
+        rings = builtin_corpus()
+        for ring in rings:
+            is_projective_module(regular_module(ring))
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        submodule_generators = counted("_submodule_generators", modules_module._submodule_generators)
+        monkeypatch.setattr(modules_module, "_submodule_generators", submodule_generators)
+        # Every module that calls generators, each through its own name for it.
+        for namespace in (subgroup_module, modules_module, ideals_module):
+            monkeypatch.setattr(namespace, "generators", counted("generators", subgroup_module.generators))
+        family = [m for ring in rings for m in generated_module_family(ring)]
+        for module in family:
+            is_flat_module(module)
+            is_projective_module(module)
+        assert len(family) == 781
+        assert calls == []

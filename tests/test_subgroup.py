@@ -1,6 +1,8 @@
-"""The additive-subgroup kernel against a naive fixed-point oracle, and the
+"""The additive-subgroup kernel against a naive fixed-point oracle, the
 block-split, join-irreducible lattices against an unsplit closure that joins
-every member with every cyclic part, one ``grow`` per additive generator."""
+every member with every cyclic part, one ``grow`` per additive generator, and
+the canonical closure against the one that joins every member with every
+irreducible part and dedupes the joins by their bytes."""
 
 import re
 
@@ -21,9 +23,20 @@ from modclass import (
     one_sided_ideals,
     random_recipe_rings,
     regular_module,
+    submodule_generated,
 )
 from modclass.ideals import IDEAL_ENUM_CAP
-from modclass.subgroup import _join_irreducible, generators, grow, lattice, span, walk, zero
+from modclass.subgroup import (
+    _join_closure,
+    _join_irreducible,
+    _sumset,
+    generators,
+    grow,
+    lattice,
+    span,
+    walk,
+    zero,
+)
 from test_rings import traced_peak_mb
 
 
@@ -234,3 +247,73 @@ def test_lattice_joins_in_bounded_memory(spec, rank):
     members, mb = traced_peak_mb(lambda: all_submodules(module))
     assert len(members) == expected
     assert mb < 2, mb
+
+
+# -- the canonical closure against the closure that dedupes by bytes -------------
+
+
+def dedupe_closure(add, size, parts):
+    """The members' keys from the closure that joins every member found with
+    every irreducible part and keeps each join once, by its bytes."""
+    irreducible, masks, _ = _join_irreducible(add, size, parts)
+    bottom = np.zeros(1, dtype=np.int64)
+    found = {bottom.tobytes(): bottom}
+    queue = [bottom]
+    while queue:
+        base = queue.pop()
+        base_mask = zero(size)
+        base_mask[base] = True
+        for part, part_mask in zip(irreducible, masks):
+            joined, _ = _sumset(add, base, base_mask, part, part_mask)
+            if joined.tobytes() not in found:
+                found[joined.tobytes()] = joined
+                queue.append(joined)
+    return set(found)
+
+
+def check_canonical_closure(add, size, blocks, generated):
+    """Per block, the canonical closure yields the oracle's members, each
+    once, and each is generated by the seeds it carries."""
+    for parts in blocks:
+        parts = list(parts)
+        members = _join_closure(add, size, parts, None, "lattice")
+        keys = [member.tobytes() for member, _ in members]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == dedupe_closure(add, size, parts)
+        for member, seeds in members:
+            assert np.array_equal(generated(seeds), member), seeds
+
+
+def submodule_blocks(module):
+    act, ring = module.act_table, module.ring
+    return [[cyclic_submodule(module, x) for x in np.unique(act[c])] for c in central_primitive_idempotents(ring)]
+
+
+def ideal_blocks(ring, side):
+    return [
+        [ideal_generated(ring, side, [x]).elements for x in np.unique(ring.mul_table[c])]
+        for c in central_primitive_idempotents(ring)
+    ]
+
+
+def test_canonical_closure_builds_each_submodule_once(corpus):
+    rings = list(corpus.values()) + random_recipe_rings(40, seed=5, max_size=32)
+    for ring in rings:
+        reg = regular_module(ring)
+        for module in [reg] + ([direct_sum(reg, reg)] if reg.size**2 <= DEFAULTS.max_module else []):
+
+            def generated(seeds):
+                return submodule_generated(module, seeds)
+
+            check_canonical_closure(module.add, module.size, submodule_blocks(module), generated)
+
+
+def test_canonical_closure_builds_each_ideal_once(corpus):
+    small = [r for r in corpus.values() if r.size <= IDEAL_ENUM_CAP]
+    for ring in small + random_recipe_rings(40, seed=5, max_size=32):
+        for side in ("left", "right", "two-sided"):
+
+            def generated(seeds):
+                return np.array(ideal_generated(ring, side, list(seeds)).elements, dtype=np.int64)
+
+            check_canonical_closure(ring.add, ring.size, ideal_blocks(ring, side), generated)
