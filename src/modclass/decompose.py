@@ -95,6 +95,23 @@ class IdempotentDecomposition:
         """|(+) P_i^a_i| for the given multiplicities a_i."""
         return prod(p**a for p, a in zip(self.sizes, multiplicities))
 
+    def _class_constants(self, in_radical: np.ndarray) -> tuple[tuple[np.ndarray, int, np.ndarray, int], ...]:
+        """Per class, with e its first idempotent and J given by its mask: the
+        column Re (sorted), |S| = |Re : Je|, the additive generators e·r_k·e of
+        eRe, and |D| = |eRe : eJe| with D = End(S).  Arrays and ints alone,
+        kept with the decomposition for the last mask passed (J's own)."""
+        kept = self.__dict__.get("_constants_kept")
+        if kept is None or kept[0] is not in_radical:
+            mul, constants = self.ring.mul_table, []
+            for e, *_ in self.classes:
+                column, corner = np.unique(mul[:, e]), _corner(self.ring, e)
+                simple = len(column) // int(np.count_nonzero(in_radical[column]))
+                division = len(corner) // int(np.count_nonzero(in_radical[corner]))
+                constants.append((column, simple, np.unique(mul[mul[e, self.ring._gens], e]), division))
+            kept = (in_radical, tuple(constants))
+            object.__setattr__(self, "_constants_kept", kept)  # frozen: not a field
+        return kept[1]
+
     def check(self) -> None:
         ring = self.ring
         mul = ring.mul_table

@@ -8,7 +8,7 @@ ideals, the same join-closure that builds submodule lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Literal, Sequence
 
 import numpy as np
@@ -41,6 +41,11 @@ class Ideal:
     def is_whole_ring(self) -> bool:
         return len(self.elements) == self.ring.size
 
+    @cached_property
+    def _mask(self) -> np.ndarray:
+        """Membership mask over the carrier, kept with the ideal."""
+        return np.isin(np.arange(self.ring.size), self.elements)
+
 
 def ideal_generated(ring: FiniteRing, side: Side, gens: Sequence[int]) -> Ideal:
     """Least ideal of the given side containing ``gens``.
@@ -63,15 +68,24 @@ def ideal_generated(ring: FiniteRing, side: Side, gens: Sequence[int]) -> Ideal:
     return Ideal(ring=ring, side=side, elements=elements, generators=tuple(int(g) for g in gens))
 
 
+def _cyclic_ideal(ring: FiniteRing, side: Side, x: int):
+    """Rx or xR, sorted: a column or row of the table, the image of an additive
+    map and so already an ideal; a two-sided one is ``ideal_generated``'s span."""
+    if side in ("left", "right"):
+        return np.unique(ring.mul_table[:, x] if side == "left" else ring.mul_table[x])
+    return ideal_generated(ring, side, [x]).elements
+
+
 def one_sided_ideals(ring: FiniteRing, side: Side) -> list[tuple[int, ...]]:
     """The full lattice of ideals of the given side (element-set tuples):
     ``subgroup.lattice`` over the cyclic ideals of x in c_b·R, one block per
-    central primitive idempotent c_b.  Guarded by ``IDEAL_ENUM_CAP``.
+    central primitive idempotent c_b, one-sided ones read off the table
+    (``_cyclic_ideal``).  Guarded by ``IDEAL_ENUM_CAP``.
     """
     message = f"ideal lattice of {ring.label}: size {ring.size} above cap {IDEAL_ENUM_CAP}"
     check_cap("ideal_enum", ring.size, IDEAL_ENUM_CAP, message)
     blocks = (
-        (ideal_generated(ring, side, [x]).elements for x in np.unique(ring.mul_table[c]))
+        (_cyclic_ideal(ring, side, x) for x in np.unique(ring.mul_table[c]))
         for c in central_primitive_idempotents(ring)
     )
     return [tuple(int(v) for v in part) for part, _ in lattice(ring.add, ring.size, blocks)]
@@ -324,10 +338,6 @@ class ChainConditionsReport:
     longest_chain: int | None = None
     right_ideal_lattice: list[tuple[int, ...]] | None = None
 
-    @property
-    def all_hold(self) -> bool:
-        return self.right_artinian and self.left_perfect and self.right_coherent
-
 
 def _longest_chain(lattice: list[tuple[int, ...]]) -> int:
     ordered = sorted(lattice, key=len)
@@ -346,20 +356,10 @@ def chain_conditions(ring: FiniteRing) -> ChainConditionsReport:
         "finite carrier: every descending chain of right ideals stabilizes, "
         "and the artinian condition carries perfectness and coherence with it"
     )
-    if ring.size <= IDEAL_ENUM_CAP:
-        lattice = one_sided_ideals(ring, "right")
-        return ChainConditionsReport(
-            right_artinian=True,
-            left_perfect=True,
-            right_coherent=True,
-            rationale=rationale,
-            right_ideal_count=len(lattice),
-            longest_chain=_longest_chain(lattice),
-            right_ideal_lattice=lattice,
-        )
-    return ChainConditionsReport(
-        right_artinian=True,
-        left_perfect=True,
-        right_coherent=True,
-        rationale=rationale,
+    report = ChainConditionsReport(
+        right_artinian=True, left_perfect=True, right_coherent=True, rationale=rationale
     )
+    if ring.size <= IDEAL_ENUM_CAP:
+        lattice = report.right_ideal_lattice = one_sided_ideals(ring, "right")
+        report.right_ideal_count, report.longest_chain = len(lattice), _longest_chain(lattice)
+    return report

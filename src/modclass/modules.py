@@ -438,21 +438,6 @@ class ModuleHom:
     def is_bijective(self) -> bool:
         return self.source.size == self.target.size and len(np.unique(self.table)) == self.source.size
 
-    def is_valid(self) -> bool:
-        """Additivity plus commuting with the whole ring action."""
-        src, tgt = self.source, self.target
-        x = np.arange(src.size)
-        sums = src.add(x[:, None], x[None, :])
-        if not np.array_equal(self.table[sums], tgt.add(self.table[x][:, None], self.table[x][None, :])):
-            return False
-        acted = src.act_table[:, x]
-        return bool(np.array_equal(self.table[acted], tgt.act_table[:, self.table]))
-
-    def compose(self, inner: "ModuleHom") -> "ModuleHom":
-        if inner.target is not self.source:
-            raise ValueError("composition mismatch")
-        return ModuleHom(inner.source, self.target, self.table[inner.table])
-
 
 def identity_hom(module: FiniteModule) -> ModuleHom:
     return ModuleHom(module, module, np.arange(module.size, dtype=np.int64))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +48,6 @@ class PPFormula:
                 if not 0 <= c < ring.size:
                     raise ValueError(f"coefficient {c} out of range for {ring.label}")
 
-    def to_json_dict(self) -> dict:
-        return {"free": self.free, "bound": self.bound, "eqs": [list(r) for r in self.equations]}
-
     @classmethod
     def from_json_dict(cls, data: dict, name: str = "") -> "PPFormula":
         if not isinstance(data, dict):
@@ -84,15 +82,13 @@ def scalar_formula(ring: FiniteRing, free: int, bound: int, int_rows, name: str 
     return PPFormula(free=free, bound=bound, equations=equations, name=name)
 
 
-@dataclass
-class _Residual:
+class _Residual(NamedTuple):
     """A formula's system after unit-pivot elimination, over the w variables
     left: ``rows`` (k, w) still to be solved, and ``outputs`` (free, w)
-    expressing each free variable in them.  ``mask`` is set once computed."""
+    expressing each free variable in them."""
 
     rows: np.ndarray
     outputs: np.ndarray
-    mask: np.ndarray | None = None
 
 
 def _eliminate(ring: FiniteRing, phi: PPFormula) -> _Residual:
@@ -148,29 +144,32 @@ def _eliminate(ring: FiniteRing, phi: PPFormula) -> _Residual:
 def _solution_mask(module: FiniteModule, phi: PPFormula, cfg: EngineConfig) -> np.ndarray:
     """Read-only mask over M^free marking tuples with a witness assignment.
 
-    Unit pivots are eliminated first (:func:`_eliminate`); ``solution_blocks``
-    enumerates the residual system alone, and each residual solution gives
-    its free coordinates through ``FiniteModule.combine``.  The mask is kept
-    on the module, keyed by the formula's system; the residual space is
-    checked against ``max_homs`` on every call, kept or not.
+    Unit pivots are eliminated (:func:`_eliminate`) once per ring and formula
+    system, and the residuals are kept on the ring, as arrays alone;
+    ``solution_blocks`` enumerates the residual system alone, and each
+    residual solution gives its free coordinates through
+    ``FiniteModule.combine``.  The module keeps only its own mask, keyed by
+    the formula's system; the residual space is checked against ``max_homs``
+    on every call, kept or not.
     """
-    key = (phi.free, phi.bound, phi.equations)
-    residual = module._pp_masks.get(key)
+    key, ring = (phi.free, phi.bound, phi.equations), module.ring
+    residual = ring._pp_residuals.get(key)
     if residual is None:
-        phi.validate_for(module.ring)
-        residual = module._pp_masks[key] = _eliminate(module.ring, phi)
+        phi.validate_for(ring)
+        residual = ring._pp_residuals[key] = _eliminate(ring, phi)
     m, width = module.size, residual.rows.shape[1]
     what = f"pp evaluation on {module.label}: residual witness space"
     check_cap("max_homs", m**width, cfg.max_homs, f"{what} {m**width} above cap {cfg.max_homs}")
-    if residual.mask is None:
+    mask = module._pp_masks.get(key)
+    if mask is None:
         mask = np.zeros(m**phi.free, dtype=bool)
         coefficients = residual.outputs.T[:, :, None]  # (width, free, 1)
         for witnesses in solution_blocks(module, residual.rows, cfg, what):
             coords = module.combine(coefficients, witnesses)  # (free, number of witnesses)
             mask[base_index(coords.T, m)] = True
         mask.flags.writeable = False
-        residual.mask = mask
-    return residual.mask
+        module._pp_masks[key] = mask
+    return mask
 
 
 def _check_subgroup(module: FiniteModule, mask: np.ndarray, p: int, label: str) -> None:

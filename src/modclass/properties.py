@@ -5,10 +5,11 @@ projective cover P(M) = (+) P_i^a_i, with P_i = R e_i over one primitive
 idempotent e_i per class and M/JM = (+) S_i^a_i, and P(M) -> M has a
 superfluous kernel (Bass 1960; Anderson & Fuller, GTM 13, section 27).  So M
 is projective iff |P(M)| = |M|, and free of rank c iff it is projective with
-a_i = c r_i, where R = (+) P_i^r_i.  One greedy walk over the e_iM counts
-each a_i, and its picks build the section of a "yes": the cover indices s
-with cls∘s = id, checked exactly, with no module built for them.
-Krull-Schmidt and an exhaustive section search stay as test oracles.
+a_i = c r_i, where R = (+) P_i^r_i.  Counting decides: |e_iM : e_iJM| =
+|D_i|^a_i, D_i = e_iRe_i / e_iJe_i, walking no element.  Only a projective
+"yes" walks the e_iM, to build its section: the cover indices s with
+cls∘s = id, checked exactly, with no module built for them.  Krull-Schmidt,
+a section search and the counting walk stay as test oracles.
 
 Flatness is decided by Tor.  With M = R^g / K, tensoring with R/J gives
 Tor_1(R/J, M) = (K ∩ J^g) / JK, and M is flat iff it vanishes: every simple
@@ -30,57 +31,53 @@ from .errors import ConsistencyError
 from .decompose import IdempotentDecomposition, primitive_decomposition
 from .ideals import jacobson_radical
 from .modules import FiniteModule, _relation_generators
-from .rings import FiniteRing
-from .subgroup import span, walk
+from .subgroup import _sumset, span, walk, zero
 from .verdict import Verdict
 
 
-def _radical_parts(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    """J's membership mask over R and its additive generators, read off the
-    radical kept on the ring."""
-    radical = jacobson_radical(ring)
-    in_radical = np.zeros(ring.size, dtype=bool)
-    in_radical[list(radical.elements)] = True
-    return in_radical, np.array(radical.generators, dtype=np.int64)
+def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposition, tuple, tuple, np.ndarray]:
+    """R's decomposition, its class constants, the a_i of M/JM = (+) S_i^a_i
+    and JM's mask, by counting alone.
 
-
-def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposition, list[tuple[int, ...]]]:
-    """R's decomposition and, per class i, the picks whose count is a_i.
-
-    One greedy walk: starting from JM, scan e_iM class by class, least
-    element first, and pick each m not yet reached; what is reached then
-    grows by Rm.  Rm/Jm is a quotient of Re_i/Je_i = S_i and Jm lies in JM,
-    so each pick adds exactly one copy of S_i, and once every e_iM is reached
-    M/JM = (+) S_i^a_i with a_i the number of class-i picks.  Sizes that
-    contradict this raise ConsistencyError rather than give a verdict.  R's
-    decomposition and J are computed once per ring and kept on it.
+    JM is the sumset of the subgroups J·g over M's generators g.  For e = e_i,
+    e(M/JM) = eM / (eM ∩ JM) has |D|^a_i elements, D = eRe/eJe, since
+    eS_j = 0 for j != i and |eS_i| = |D|.  An index that is no power of |D|,
+    or |M : JM| != prod |S_i|^a_i, raises ConsistencyError rather than give a
+    verdict.  R's decomposition and J are kept on the ring, the class
+    constants with the decomposition.
     """
     ring = module.ring
     decomposition = primitive_decomposition(ring, cfg)
     if decomposition.sum_size(decomposition.multiplicities) != ring.size:
         raise ConsistencyError(f"{ring.label}: primitive classes do not cover the regular module")
-    in_radical, radical_gens = _radical_parts(ring)
-    act, gens = module.act_table, np.array(module.gens)
-    reached = span(module.add, module.size, act[radical_gens[:, None], gens].ravel())
-    picks = []
-    for e, *_ in decomposition.classes:
-        column = np.unique(ring.mul_table[:, e])  # Re_i, with Je_i = J ∩ Re_i
-        simple = len(column) // np.count_nonzero(in_radical[column])  # |S_i|
-        before = np.count_nonzero(reached)
-        picks.append(walk(module.add, reached, np.unique(act[e]).tolist(), lambda m: act[ring._gens, m]))
-        if np.count_nonzero(reached) != before * simple ** len(picks[-1]):
-            raise ConsistencyError(f"{module.label}: the picks in e M for e = {e} do not each add |S| = {simple}")
-    size = decomposition.sum_size(map(len, picks))
-    if not reached.all() or size % module.size:
+    in_radical = jacobson_radical(ring)._mask
+    constants = decomposition._class_constants(in_radical)
+    act, radical = module.act_table, np.flatnonzero(in_radical)
+    jm, jm_mask = np.zeros(1, dtype=np.int64), zero(module.size)
+    for g in module.gens:
+        part_mask = np.zeros(module.size, dtype=bool)
+        part_mask[act[radical, g]] = True  # J·g, the image of J under r -> r·g
+        jm, jm_mask = _sumset(module.add, jm, jm_mask, np.flatnonzero(part_mask), part_mask)
+    multiplicities, top = [], 1
+    for (e, *_), (_, simple, _, division) in zip(decomposition.classes, constants):
+        em = np.unique(act[e])
+        index, a = np.count_nonzero(jm_mask[em]), 0
+        while index < len(em) and division > 1:
+            index, a = index * division, a + 1
+        if index != len(em):
+            raise ConsistencyError(f"{module.label}: |eM : eJM| for e = {e} is no power of |D| = {division}")
+        multiplicities.append(a)
+        top *= simple**a
+    size = decomposition.sum_size(multiplicities)
+    if top * len(jm) != module.size or size % module.size:
         raise ConsistencyError(f"{module.label}: projective cover of size {size} does not map onto M")
-    return decomposition, picks
+    return decomposition, constants, tuple(multiplicities), jm_mask
 
 
 def _kernel_verdict(
-    module: FiniteModule, decomposition: IdempotentDecomposition, picks: list[tuple[int, ...]]
+    module: FiniteModule, decomposition: IdempotentDecomposition, multiplicities: tuple[int, ...]
 ) -> Verdict | None:
     """The "no" of both predicates, when |P(M)| > |M|: the size of the kernel of P(M) -> M."""
-    multiplicities = tuple(map(len, picks))
     size = decomposition.sum_size(multiplicities)
     if size == module.size:
         return None
@@ -97,11 +94,11 @@ def is_free_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Ver
     cfg = cfg or DEFAULTS
     if module.size == 1:
         return Verdict(True, witness=0, note="zero module is free of rank 0")
-    decomposition, picks = _cover(module, cfg)
-    no = _kernel_verdict(module, decomposition, picks)
+    decomposition, _, multiplicities, _ = _cover(module, cfg)
+    no = _kernel_verdict(module, decomposition, multiplicities)
     if no is not None:
         return no
-    pairs = list(zip(decomposition.sizes, map(len, picks), decomposition.multiplicities))
+    pairs = list(zip(decomposition.sizes, multiplicities, decomposition.multiplicities))
     size, a, r = pairs[0]
     c, remainder = divmod(a, r)
     if remainder:
@@ -124,28 +121,32 @@ def is_projective_module(module: FiniteModule, cfg: EngineConfig | None = None) 
     """Projective iff |M| equals the size of its projective cover.
 
     A "yes" carries a section of the canonical surjection cls: R^g -> M, as
-    the array s of cover indices with cls∘s = id, checked exactly.  The picks
-    m give phi: (+) R e_i -> M, r e_i -> r m, onto by Nakayama and bijective
-    by the count; its lift psi: r e_i -> r e_i rep[m] into the free cover
-    satisfies cls∘psi = phi, so s = psi∘phi^-1.  A "no" carries the size of
-    the cover's kernel.
+    the array s of cover indices with cls∘s = id, checked exactly.  One walk
+    per class over eM, least element first from JM, picks each m not yet
+    reached and grows by eRe·m: as e_iRe_j ⊆ J for classes i != j, that is
+    the walk from JM over all the e_iM growing by Rm, with a_i picks m in
+    e_iM.  They give phi: (+) R e_i -> M, r e_i -> r m, onto by Nakayama and
+    bijective by the count; its lift psi: r e_i -> r e_i rep[m] into the free
+    cover satisfies cls∘psi = phi, so s = psi∘phi^-1.  A "no" carries the
+    size of the cover's kernel.
     """
     cfg = cfg or DEFAULTS
     if module.size == 1:
         return Verdict(True, note="zero module is projective")
-    decomposition, picks = _cover(module, cfg)
-    no = _kernel_verdict(module, decomposition, picks)
+    decomposition, constants, multiplicities, jm_mask = _cover(module, cfg)
+    no = _kernel_verdict(module, decomposition, multiplicities)
     if no is not None:
         return no
-    ring = module.ring
-    act, mul = module.act_table, ring.mul_table
+    ring, act = module.ring, module.act_table
     phi = np.zeros(1, dtype=np.int64)
     psi = np.zeros((1, module.num_generators), dtype=np.int64)  # cover digits
-    for (e, *_), class_picks in zip(decomposition.classes, picks):
-        column = np.unique(mul[:, e])
-        for m in class_picks:
+    for (e, *_), (column, _, corner, _), a in zip(decomposition.classes, constants, multiplicities):
+        picks = walk(module.add, jm_mask.copy(), np.unique(act[e]).tolist(), lambda m: act[corner, m])
+        if len(picks) != a:
+            raise ConsistencyError(f"{module.label}: {len(picks)} picks in e M for e = {e}, not {a}")
+        for m in picks:
             phi = module.add(phi[:, None], act[column, m][None, :]).ravel()
-            lifted = mul[column[:, None], module.coords(m)]
+            lifted = ring.mul_table[column[:, None], module.coords(m)]
             psi = ring.add(psi[:, None], lifted[None, :]).reshape(len(phi), -1)
     if len(phi) != module.size or len(np.unique(phi)) != module.size:
         raise ConsistencyError(f"{module.label}: (+) P_i^a_i -> M is not a bijection")
@@ -156,8 +157,7 @@ def is_projective_module(module: FiniteModule, cfg: EngineConfig | None = None) 
     return Verdict(
         True,
         witness=section,
-        note=f"isomorphic to its projective cover, multiplicities {tuple(map(len, picks))}; "
-        "splitting verified",
+        note=f"isomorphic to its projective cover, multiplicities {multiplicities}; splitting verified",
     )
 
 
@@ -192,7 +192,8 @@ def is_flat_module(module: FiniteModule, cfg: EngineConfig | None = None) -> Fla
     relations = module.relations
     if module.size == 1 or len(relations) == 1:
         return FlatnessReport(True, note="zero module" if module.size == 1 else "free presentation")
-    in_radical, radical_gens = _radical_parts(module.ring)
+    radical = jacobson_radical(module.ring)
+    in_radical, radical_gens = radical._mask, np.array(radical.generators, dtype=np.int64)
     k_gens = _relation_generators(module)
     products = module.cover_act(radical_gens[:, None, None], k_gens).ravel()
     jk = np.count_nonzero(span(module.cover_add, module.cover_size, products))

@@ -101,6 +101,7 @@ class FiniteRing:
         self._registry = None  # set by decompose.get_registry
         self._decomposition = None  # set by decompose.primitive_decomposition
         self._radical = None  # set by ideals.jacobson_radical
+        self._pp_residuals: dict = {}  # set by pp._solution_mask, arrays only
         self._gen_products = None if gen_products is None else _as_int32(gen_products)
         if mul_table is None:
             if gen_products is None:
@@ -158,11 +159,6 @@ class FiniteRing:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def scalar_mul(self, k: int, a):
-        """k-fold additive multiple of a (k any integer)."""
-        out = self.encode(int(k) * self.decode(a))
-        return int(out) if np.ndim(out) == 0 else out
 
     # -- multiplicative structure ---------------------------------------------
 

@@ -12,6 +12,7 @@ from modclass import (
     DecompositionSignature,
     ModuleHom,
     SizeCapError,
+    baur_monk_invariant,
     build_ring,
     central_primitive_idempotents,
     classify_ring,
@@ -27,6 +28,7 @@ from modclass import (
     is_isomorphic,
     is_projective_module,
     krull_schmidt,
+    library_pairs,
     primitive_decomposition,
     quotient_module,
     random_recipe_rings,
@@ -322,11 +324,42 @@ class TestIsIsomorphic:
             is_isomorphic(regular_module(z4), regular_module(z6))
 
 
+def _leaves(value):
+    """The non-tuple values nested in tuples, dict values and NamedTuples."""
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 class TestRegistryLifetime:
     def test_registry_does_not_keep_its_ring_alive(self):
         ring = build_ring("Z/6")
         ref = weakref.ref(ring)
         assert is_free_module(regular_module(ring))
         del ring
+        gc.collect()
+        assert ref() is None
+
+    def test_ring_kept_stores_hold_arrays_and_ints_and_die_with_the_ring(self):
+        ring = build_ring("T(2,GF(2)) x Z/4")
+        ref = weakref.ref(ring)
+        classify_ring(ring)
+        module = direct_sum(regular_module(ring), corpus_test_modules(ring)[-1])
+        assert not is_free_module(module)
+        assert is_projective_module(regular_module(ring))
+        assert is_flat_module(module).value == is_projective_module(module).value
+        krull_schmidt(module)
+        for phi, psi in library_pairs(ring):
+            baur_monk_invariant(module, phi, psi)
+        residuals = ring._pp_residuals
+        constants = primitive_decomposition(ring)._constants_kept
+        assert len(residuals) > 1 and len(constants[1]) == 3
+        for store in (residuals, constants):
+            assert {type(leaf) for leaf in _leaves(store)} == {np.ndarray} | ({int} if store is constants else set())
+        del ring, module
         gc.collect()
         assert ref() is None

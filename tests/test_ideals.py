@@ -28,6 +28,7 @@ from modclass import (
     units,
 )
 from modclass.rings import unit_mask
+from helpers import all_hold
 
 
 def maximal_ideals(ring, side):
@@ -248,7 +249,7 @@ class TestPredicates:
 
     def test_chain_conditions_z6(self, z6):
         report = chain_conditions(z6)
-        assert report.all_hold
+        assert all_hold(report)
         assert report.right_ideal_count == 4
         assert sorted(report.right_ideal_lattice, key=len) == [
             (0,),
@@ -264,7 +265,7 @@ class TestPredicates:
     def test_chain_conditions_above_cap_keep_rationale(self, corpus):
         ring = corpus["M(2,GF(3))"]
         report = chain_conditions(ring)
-        assert report.all_hold
+        assert all_hold(report)
         assert report.right_ideal_count is None
         assert "finite" in report.rationale
 

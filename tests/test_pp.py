@@ -24,9 +24,11 @@ from modclass import (
     regular_module,
     scalar_formula,
 )
+from modclass import pp as pp_module
 from modclass.modules import solution_blocks
 from modclass.pp import _check_subgroup, _eliminate, _solution_mask
 from modclass.rings import base_index, units
+from helpers import formula_to_json, scalar_mul
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +208,21 @@ class TestElimination:
         assert _solution_mask(regular_module(z4), phi, DEFAULTS) is not mask
 
 
+    def test_one_elimination_per_ring_and_formula_system(self, monkeypatch):
+        ring = build_ring("T(2,GF(2))")
+        calls = []
+        monkeypatch.setattr(pp_module, "_eliminate", lambda ring, phi: calls.append(phi) or _eliminate(ring, phi))
+        reg = regular_module(ring)
+        modules = [reg, *corpus_test_modules(ring), direct_sum(reg, reg), quotient_module(reg, [0, 1])]
+        pairs = library_pairs(ring)
+        for module in modules:
+            for phi, psi in pairs:
+                baur_monk_invariant(module, phi, psi)
+        systems = {(phi.free, phi.bound, phi.equations) for pair in pairs for phi in pair}
+        assert len(calls) == len(systems) < len({phi.name for pair in pairs for phi in pair})
+        assert set(ring._pp_residuals) == systems
+
+
 class TestRightIdeal:
     def test_div2_on_z4(self, z4):
         phi = scalar_formula(z4, 1, 1, [[1, -2]])
@@ -269,7 +286,7 @@ class TestLibrary:
                 rows = {"div2": [[1, -2]], "ann6": [[6]], "div3_ann2": [[1, -3], [0, 2]]}.get(name)
                 if rows is None:
                     continue
-                equations = tuple(tuple(int(ring.scalar_mul(k, ring.one)) for k in row) for row in rows)
+                equations = tuple(tuple(int(scalar_mul(ring, k, ring.one)) for k in row) for row in rows)
                 assert phi == PPFormula(phi.free, phi.bound, equations, name)
                 assert scalar_formula(ring, phi.free, phi.bound, rows, name) == phi
 
@@ -277,7 +294,7 @@ class TestLibrary:
 class TestSerialization:
     def test_round_trip(self):
         phi = PPFormula(free=1, bound=2, equations=((1, 2, 3), (0, 1, 0)), name="x")
-        data = phi.to_json_dict()
+        data = formula_to_json(phi)
         back = PPFormula.from_json_dict(data)
         assert back.free == phi.free and back.bound == phi.bound
         assert back.equations == phi.equations

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from modclass import (
+    DEFAULTS,
     ConsistencyError,
     EngineConfig,
     FiniteModule,
@@ -34,9 +35,9 @@ from modclass import (
     submodule_generated,
     zero_module,
 )
-from modclass import properties
+from modclass import properties, subgroup
 from modclass.modules import _relation_generators, hom_candidate_blocks
-from modclass.subgroup import span
+from modclass.subgroup import span, walk
 
 
 def split_surjection_search(pi):
@@ -262,6 +263,47 @@ def assert_section_splits(module, section):
     assert np.array_equal(section[module.act_table], module.cover_act(r[:, None, None], section))
 
 
+def cover_by_walk(module):
+    """Oracle for the counted a_i: R's decomposition and, per class i, the
+    picks of one greedy walk from JM over the e_iM, least element first, each
+    pick m not yet reached growing the walk by Rm; a_i is the number of
+    class-i picks.  Each pick adds exactly one copy of S_i."""
+    ring = module.ring
+    decomposition = primitive_decomposition(ring)
+    radical = jacobson_radical(ring)
+    in_radical = np.zeros(ring.size, dtype=bool)
+    in_radical[list(radical.elements)] = True
+    act, gens = module.act_table, np.array(module.gens)
+    radical_gens = np.array(radical.generators, dtype=np.int64)
+    reached = span(module.add, module.size, act[radical_gens[:, None], gens].ravel())
+    picks = []
+    for e, *_ in decomposition.classes:
+        column = np.unique(ring.mul_table[:, e])
+        simple = len(column) // np.count_nonzero(in_radical[column])
+        before = np.count_nonzero(reached)
+        picks.append(walk(module.add, reached, np.unique(act[e]).tolist(), lambda m: act[ring._gens, m]))
+        assert np.count_nonzero(reached) == before * simple ** len(picks[-1]), module.label
+    assert reached.all(), module.label
+    return decomposition, picks
+
+
+def section_by_walk(module, decomposition, picks):
+    """The section of a projective module built from the oracle's picks:
+    s = psi∘phi^-1 for phi: r e_i -> r m and its lift psi: r e_i -> r e_i rep[m]."""
+    ring, act = module.ring, module.act_table
+    phi = np.zeros(1, dtype=np.int64)
+    psi = np.zeros((1, module.num_generators), dtype=np.int64)
+    for (e, *_), class_picks in zip(decomposition.classes, picks):
+        column = np.unique(ring.mul_table[:, e])
+        for m in class_picks:
+            phi = module.add(phi[:, None], act[column, m][None, :]).ravel()
+            lifted = ring.mul_table[column[:, None], module.coords(m)]
+            psi = ring.add(psi[:, None], lifted[None, :]).reshape(len(phi), -1)
+    section = np.empty(module.size, dtype=np.int64)
+    section[phi] = module._cover_encode(psi)
+    return section
+
+
 def _signature_verdicts(module):
     """(projective, free rank or None) from Krull-Schmidt signatures."""
     found = dict(krull_schmidt(module).entries)
@@ -318,6 +360,45 @@ class TestCoverCountOracles:
                 mismatches.append((module.label, "free", free.witness, rank))
         assert checked > 300
         assert not mismatches
+
+    def test_counting_matches_the_walk_oracle(self, corpus):
+        family = [module for ring in corpus.values() for module in generated_module_family(ring)]
+        assert len(family) == 781
+        checked = projective = 0
+        for module in itertools.chain(_oracle_modules(corpus), family):
+            if module.size == 1:
+                continue
+            decomposition, picks = cover_by_walk(module)
+            _, _, multiplicities, _ = properties._cover(module, DEFAULTS)
+            assert multiplicities == tuple(map(len, picks)), module.label
+            verdict = is_projective_module(module)
+            if verdict.value:
+                section = section_by_walk(module, decomposition, picks)
+                assert verdict.witness.dtype == section.dtype, module.label
+                assert verdict.witness.tobytes() == section.tobytes(), module.label
+                projective += 1
+            checked += 1
+        assert checked > 1000 and 0 < projective < checked
+
+    def test_no_walk_decides_a_count(self, monkeypatch, corpus):
+        # Freeness and a projective "no" need the a_i alone; only a "yes"
+        # walks, to build its section.
+        ring = corpus["T(2,GF(2))"]
+        reg = regular_module(ring)
+        top = quotient_module(reg, list(jacobson_radical(ring).elements))
+        modules = [reg, top, direct_sum(reg, top)]
+        for module in modules:
+            module.act_table
+        primitive_decomposition(ring)
+        calls = []
+        counted = lambda *args, **kwargs: calls.append(args) or walk(*args, **kwargs)
+        monkeypatch.setattr(properties, "walk", counted)
+        monkeypatch.setattr(subgroup, "walk", counted)
+        for module in modules:
+            is_free_module(module)
+        assert not calls
+        assert not is_projective_module(top).value and not calls
+        assert is_projective_module(reg).value and calls
 
     def test_dropped_class_raises(self, monkeypatch, corpus):
         ring = corpus["GF(2) x M(2,GF(2))"]

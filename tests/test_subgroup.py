@@ -25,6 +25,7 @@ from modclass import (
     regular_module,
     submodule_generated,
 )
+from modclass import ideals as ideals_module
 from modclass.ideals import IDEAL_ENUM_CAP
 from modclass.subgroup import (
     _join_closure,
@@ -37,6 +38,7 @@ from modclass.subgroup import (
     walk,
     zero,
 )
+from test_pp import sweep_specs
 from test_rings import traced_peak_mb
 
 
@@ -198,6 +200,36 @@ def test_split_lattices_of_random_rings_match_unsplit(corpus):
     for ring in small + random_rings:
         for side in ("left", "right", "two-sided"):
             assert one_sided_ideals(ring, side) == unsplit_ideals(ring, side), (ring.label, side)
+
+
+def test_one_sided_cyclic_ideals_read_off_the_table_match_the_span(corpus):
+    # Rx and xR are a column and a row of the table, with no span; the
+    # lattices over them are the span route's.
+    sweep = [build_ring(spec) for spec in sweep_specs()]
+    rings = list(corpus.values()) + sweep + random_recipe_rings(60, seed=3, max_size=64)
+    lattices = 0
+    for ring in rings:
+        for side in ("left", "right"):
+            for x in range(ring.size):
+                gathered = ideals_module._cyclic_ideal(ring, side, x)
+                assert tuple(gathered.tolist()) == ideal_generated(ring, side, [x]).elements, (ring.label, x)
+            if ring.size <= IDEAL_ENUM_CAP:
+                assert one_sided_ideals(ring, side) == unsplit_ideals(ring, side), (ring.label, side)
+                lattices += 1
+    assert lattices > 150
+
+
+def test_one_sided_ideals_span_nothing(monkeypatch, corpus):
+    calls = []
+    real = ideals_module.ideal_generated
+    monkeypatch.setattr(ideals_module, "ideal_generated", lambda *a: calls.append(a) or real(*a))
+    for ring in corpus.values():
+        if ring.size <= IDEAL_ENUM_CAP:
+            one_sided_ideals(ring, "left")
+            one_sided_ideals(ring, "right")
+    assert not calls
+    one_sided_ideals(corpus["Z/6"], "two-sided")
+    assert calls
 
 
 def test_cap_on_the_product_raises_before_any_direct_sum():
