@@ -22,8 +22,10 @@ from .verdict import Verdict
 from .rings import (
     FiniteRing,
     RingAxiomReport,
+    central_primitive_idempotents,
     cyclic_ring,
     galois_field,
+    idempotents,
     matrix_ring,
     matrix_units,
     poly_quotient_ring,
@@ -59,7 +61,6 @@ from .modules import (
     quotient_module,
     regular_module,
     submodule_as_module,
-    submodule_generated,
     verify_module_axioms,
     zero_module,
 )
@@ -67,10 +68,8 @@ from .decompose import (
     DecompositionSignature,
     IdempotentDecomposition,
     IndecomposableRegistry,
-    central_primitive_idempotents,
     corner_isomorphism,
     get_registry,
-    idempotents,
     is_isomorphic,
     krull_schmidt,
     primitive_decomposition,

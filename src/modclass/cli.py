@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .classify import (
     ClassificationReport,
@@ -17,7 +16,7 @@ from .classify import (
 from .config import DEFAULTS, EngineConfig, config_from_env
 from .corpus import BUILTIN_CORPUS_SPECS, builtin_corpus, run_meta_suite
 from .decompose import primitive_decomposition
-from .dsl import build_ring, struct_const_fields
+from .dsl import build_ring, read_json, struct_const_fields
 from .errors import ModclassError, RingSpecError, RingValidationError, SizeCapError
 from .ideals import jacobson_radical, radical_nilpotency_degree
 from .modules import regular_module
@@ -115,7 +114,7 @@ def cmd_classify(args) -> int:
 
 def _load_unchecked_ring(path: str) -> FiniteRing:
     label = f"unchecked:{path}"
-    orders, one, table = struct_const_fields(json.loads(Path(path).read_text(encoding="utf-8")), label)
+    orders, one, table = struct_const_fields(read_json(path), label)
     return FiniteRing(orders, one, label, mul_table=table)
 
 
@@ -184,8 +183,7 @@ def cmd_radical(args) -> int:
 def cmd_ppval(args) -> int:
     cfg = _cfg_from_args(args)
     ring = build_ring(args.spec, cfg)
-    data = json.loads(Path(args.formula).read_text(encoding="utf-8"))
-    formula = PPFormula.from_json_dict(data)
+    formula = PPFormula.from_json_dict(read_json(args.formula))
     reg = regular_module(ring, cfg)
     solutions = pp_evaluate(reg, formula, cfg)
     payload = {
@@ -273,9 +271,6 @@ def main(argv: list[str] | None = None) -> int:
     except ModclassError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VIOLATIONS
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
 
 
 if __name__ == "__main__":

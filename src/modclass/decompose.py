@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
@@ -15,28 +16,6 @@ from .errors import ConsistencyError, SizeCapError
 from .modules import FiniteModule, _present, find_bijective_hom, hom_candidate_blocks
 from .rings import FiniteRing
 from .verdict import Verdict
-
-
-def idempotents(ring: FiniteRing) -> tuple[int, ...]:
-    """All e with e*e = e, by full enumeration."""
-    idx = np.arange(ring.size)
-    return tuple(int(v) for v in idx[ring.mul_table[idx, idx] == idx])
-
-
-def central_primitive_idempotents(ring: FiniteRing) -> tuple[int, ...]:
-    """The central primitive idempotents c_b, ascending: R = ∏ R·c_b.
-
-    z is central iff it commutes with R's additive generators, by
-    biadditivity.  The central idempotents form a Boolean algebra under
-    e ≤ f ⇔ e·f = e, and the c_b are its atoms: the nonzero ones with no
-    central idempotent other than 0 and c_b below them.
-    """
-    mul = ring.mul_table
-    gens = ring._gens
-    central = (mul[:, gens] == mul[gens, :].T).all(axis=1)
-    es = np.array([e for e in idempotents(ring) if central[e]], dtype=np.int64)
-    below = mul[es[:, None], es[None, :]] == es[None, :]  # below[i, j]: e_j ≤ e_i
-    return tuple(int(e) for e, n in zip(es, below.sum(axis=1)) if e != 0 and n == 2)
 
 
 def _corner(ring: FiniteRing, e: int) -> np.ndarray:
@@ -74,8 +53,10 @@ def corner_isomorphism(ring: FiniteRing, e: int, f: int) -> tuple[int, int] | No
 @dataclass(frozen=True)
 class IdempotentDecomposition:
     """A complete orthogonal set of primitive idempotents, grouped by the
-    isomorphism class of the left ideals they generate.  Frozen: the
-    unseeded decomposition is shared by every caller over the ring."""
+    isomorphism class of the left ideals they generate: a plain frozen
+    record.  The unseeded decomposition is kept on the ring and shared by
+    every caller over it; the per-class arrays that a projective-cover count
+    reads are a cached property, built the first time one is asked for."""
 
     ring: FiniteRing
     idempotents: tuple[int, ...]
@@ -95,22 +76,17 @@ class IdempotentDecomposition:
         """|(+) P_i^a_i| for the given multiplicities a_i."""
         return prod(p**a for p, a in zip(self.sizes, multiplicities))
 
-    def _class_constants(self, in_radical: np.ndarray) -> tuple[tuple[np.ndarray, int, np.ndarray, int], ...]:
-        """Per class, with e its first idempotent and J given by its mask: the
-        column Re (sorted), |S| = |Re : Je|, the additive generators e·r_k·e of
-        eRe, and |D| = |eRe : eJe| with D = End(S).  Arrays and ints alone,
-        kept with the decomposition for the last mask passed (J's own)."""
-        kept = self.__dict__.get("_constants_kept")
-        if kept is None or kept[0] is not in_radical:
-            mul, constants = self.ring.mul_table, []
-            for e, *_ in self.classes:
-                column, corner = np.unique(mul[:, e]), _corner(self.ring, e)
-                simple = len(column) // int(np.count_nonzero(in_radical[column]))
-                division = len(corner) // int(np.count_nonzero(in_radical[corner]))
-                constants.append((column, simple, np.unique(mul[mul[e, self.ring._gens], e]), division))
-            kept = (in_radical, tuple(constants))
-            object.__setattr__(self, "_constants_kept", kept)  # frozen: not a field
-        return kept[1]
+    @cached_property
+    def _class_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per class, with e its first idempotent: the column Re and the corner
+        eRe, sorted, and the e·r_k·e over R's additive generators r_k, which
+        generate eRe additively.  Ring-only arrays, computed on first use (a
+        projective-cover count) and kept with the decomposition."""
+        mul, gens = self.ring.mul_table, self.ring._gens
+        return tuple(
+            (np.unique(mul[:, e]), _corner(self.ring, e), np.unique(mul[mul[e, gens], e]))
+            for e, *_ in self.classes
+        )
 
     def check(self) -> None:
         ring = self.ring
@@ -265,14 +241,6 @@ class DecompositionSignature:
         return tuple(
             sorted((self.registry.class_size(c), m) for c, m in self.entries)
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DecompositionSignature):
-            return NotImplemented
-        return self.registry is other.registry and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((id(self.registry), self.entries))
 
     def combine(self, other: "DecompositionSignature") -> "DecompositionSignature":
         if self.registry is not other.registry:

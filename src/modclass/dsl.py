@@ -145,17 +145,21 @@ class _Parser:
         return path
 
 
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``.  A file that cannot be read (a
+    missing file, a directory, no permission) or parsed raises RingSpecError
+    naming the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise RingSpecError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise RingSpecError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_struct_const(path: str | Path, cfg: EngineConfig | None = None) -> FiniteRing:
     """Build a ring from a JSON file {orders: [...], one: i, table: [[...]]}."""
-    cfg = cfg or DEFAULTS
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise RingSpecError(f"StructConst file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise RingSpecError(f"StructConst file {path} is not valid JSON: {exc}") from exc
-    return struct_const_from_dict(data, label=f"StructConst({path})", cfg=cfg)
+    return struct_const_from_dict(read_json(path), label=f"StructConst({Path(path)})", cfg=cfg)
 
 
 def struct_const_fields(data, label: str) -> tuple:

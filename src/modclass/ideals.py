@@ -13,9 +13,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .decompose import central_primitive_idempotents
 from .errors import ConsistencyError, SideError, check_cap
-from .rings import FiniteRing, row_blocks, unit_mask
+from .rings import FiniteRing, central_primitive_idempotents, row_blocks, unit_mask
 from .subgroup import generators, lattice, span
 from .verdict import Verdict
 

@@ -29,8 +29,10 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ClosureError, check_cap
-from .rings import FiniteRing, _add_op, _add_rows, _lane_sum, base_digits, base_index, rows_additive
-from .subgroup import generators, lattice, span, walk, zero
+from .rings import (
+    FiniteRing, _add_op, _add_rows, _lane_sum, base_digits, base_index, central_primitive_idempotents, rows_additive
+)
+from .subgroup import generators, lattice, walk, zero
 
 _MODULE_ADD_TABLE_LIMIT = 2048
 _LATTICE_LIMIT = 20_000  # submodules in one lattice
@@ -84,6 +86,7 @@ class FiniteModule:
         self._add_table: np.ndarray | None = None
         self._relation_gens: np.ndarray | None = None  # set by _relation_generators
         self._pp_masks: dict = {}  # filled by pp._solution_mask
+        self._cover_counts: tuple | None = None  # set by properties._cover: the a_i and JM's mask
 
     # -- free-cover arithmetic (indices with base-|R| digits) -------------------
 
@@ -271,13 +274,6 @@ def cyclic_submodule(module: FiniteModule, x: int) -> np.ndarray:
     return np.unique(module.act_table[:, x]).astype(np.int64)
 
 
-def submodule_generated(module: FiniteModule, seeds: Sequence[int]) -> np.ndarray:
-    """Least submodule containing the seeds: the additive span of the e_i s,
-    for R's additive generators e_i and the seeds s."""
-    products = module.act_table[np.ix_(module.ring._gens, np.asarray(seeds, dtype=np.int64))]
-    return np.flatnonzero(span(module.add, module.size, products.ravel()))
-
-
 def _submodule_generators(module: FiniteModule, elements: np.ndarray) -> tuple[int, ...] | None:
     """The greedy additive generators of ``subgroup.walk`` when the elements
     form a submodule, else None: one walk decides both.
@@ -299,15 +295,8 @@ def _submodule_generators(module: FiniteModule, elements: np.ndarray) -> tuple[i
     return picked
 
 
-def is_submodule(module: FiniteModule, elements: np.ndarray) -> bool:
-    """An additive subgroup closed under the action of each e_i is closed under R."""
-    return _submodule_generators(module, np.asarray(elements, dtype=np.int64)) is not None
-
-
 def _submodule_lattice(module: FiniteModule, limit: int = _LATTICE_LIMIT) -> list[tuple]:
     """``all_submodules``, each N with the seeds w of the parts R·w it joins."""
-    from .decompose import central_primitive_idempotents  # decompose imports this module
-
     act = module.act_table
     blocks = (
         (cyclic_submodule(module, x) for x in np.unique(act[c]))

@@ -6,10 +6,14 @@ idempotent e_i per class and M/JM = (+) S_i^a_i, and P(M) -> M has a
 superfluous kernel (Bass 1960; Anderson & Fuller, GTM 13, section 27).  So M
 is projective iff |P(M)| = |M|, and free of rank c iff it is projective with
 a_i = c r_i, where R = (+) P_i^r_i.  Counting decides: |e_iM : e_iJM| =
-|D_i|^a_i, D_i = e_iRe_i / e_iJe_i, walking no element.  Only a projective
-"yes" walks the e_iM, to build its section: the cover indices s with
-cls∘s = id, checked exactly, with no module built for them.  Krull-Schmidt,
-a section search and the counting walk stay as test oracles.
+|D_i|^a_i, D_i = e_iRe_i / e_iJe_i, walking no element.  The ring-only
+arrays per class (Re_i, e_iRe_i and its additive generators) are a cached
+property of R's kept decomposition, |S_i| and |D_i| are counted on J's mask,
+and a module keeps its a_i and JM, so asking it both whether it is free and
+whether it is projective counts once.  Only a projective "yes" walks the
+e_iM, to build its section: the cover indices s with cls∘s = id, checked
+exactly, with no module built for them.  Krull-Schmidt, a section search and
+the counting walk stay as test oracles.
 
 Flatness is decided by Tor.  With M = R^g / K, tensoring with R/J gives
 Tor_1(R/J, M) = (K ∩ J^g) / JK, and M is flat iff it vanishes: every simple
@@ -36,22 +40,30 @@ from .verdict import Verdict
 
 
 def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposition, tuple, tuple, np.ndarray]:
-    """R's decomposition, its class constants, the a_i of M/JM = (+) S_i^a_i
-    and JM's mask, by counting alone.
-
-    JM is the sumset of the subgroups J·g over M's generators g.  For e = e_i,
-    e(M/JM) = eM / (eM ∩ JM) has |D|^a_i elements, D = eRe/eJe, since
-    eS_j = 0 for j != i and |eS_i| = |D|.  An index that is no power of |D|,
-    or |M : JM| != prod |S_i|^a_i, raises ConsistencyError rather than give a
-    verdict.  R's decomposition and J are kept on the ring, the class
-    constants with the decomposition.
+    """R's decomposition, its per-class arrays, the a_i of M/JM = (+) S_i^a_i
+    and JM's mask.  The decomposition is fetched, under ``cfg``'s caps, and
+    checked on every call; the a_i and JM are counted once per module and
+    kept on it.
     """
     ring = module.ring
     decomposition = primitive_decomposition(ring, cfg)
     if decomposition.sum_size(decomposition.multiplicities) != ring.size:
         raise ConsistencyError(f"{ring.label}: primitive classes do not cover the regular module")
-    in_radical = jacobson_radical(ring)._mask
-    constants = decomposition._class_constants(in_radical)
+    if module._cover_counts is None:
+        module._cover_counts = _count(module, decomposition)
+    return decomposition, decomposition._class_arrays, *module._cover_counts
+
+
+def _count(module: FiniteModule, decomposition: IdempotentDecomposition) -> tuple[tuple[int, ...], np.ndarray]:
+    """The a_i and JM's mask, by counting alone.
+
+    JM is the sumset of the subgroups J·g over M's generators g.  For e = e_i,
+    e(M/JM) = eM / (eM ∩ JM) has |D|^a_i elements, D = eRe/eJe, since
+    eS_j = 0 for j != i and |eS_i| = |D|.  An index that is no power of |D|,
+    or |M : JM| != prod |S_i|^a_i, raises ConsistencyError rather than give a
+    verdict.
+    """
+    in_radical = jacobson_radical(module.ring)._mask
     act, radical = module.act_table, np.flatnonzero(in_radical)
     jm, jm_mask = np.zeros(1, dtype=np.int64), zero(module.size)
     for g in module.gens:
@@ -59,7 +71,7 @@ def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposi
         part_mask[act[radical, g]] = True  # J·g, the image of J under r -> r·g
         jm, jm_mask = _sumset(module.add, jm, jm_mask, np.flatnonzero(part_mask), part_mask)
     multiplicities, top = [], 1
-    for (e, *_), (_, simple, _, division) in zip(decomposition.classes, constants):
+    for (e, *_), (simple, division) in zip(decomposition.classes, _class_sizes(decomposition, in_radical)):
         em = np.unique(act[e])
         index, a = np.count_nonzero(jm_mask[em]), 0
         while index < len(em) and division > 1:
@@ -71,7 +83,15 @@ def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposi
     size = decomposition.sum_size(multiplicities)
     if top * len(jm) != module.size or size % module.size:
         raise ConsistencyError(f"{module.label}: projective cover of size {size} does not map onto M")
-    return decomposition, constants, tuple(multiplicities), jm_mask
+    return tuple(multiplicities), jm_mask
+
+
+def _class_sizes(decomposition: IdempotentDecomposition, in_radical: np.ndarray) -> list[tuple[int, int]]:
+    """Per class, |S_i| = |Re_i : Je_i| and |D_i| = |e_iRe_i : e_iJe_i|, counted on J's mask."""
+    return [
+        tuple(len(part) // int(np.count_nonzero(in_radical[part])) for part in (column, corner))
+        for column, corner, _ in decomposition._class_arrays
+    ]
 
 
 def _kernel_verdict(
@@ -133,15 +153,15 @@ def is_projective_module(module: FiniteModule, cfg: EngineConfig | None = None) 
     cfg = cfg or DEFAULTS
     if module.size == 1:
         return Verdict(True, note="zero module is projective")
-    decomposition, constants, multiplicities, jm_mask = _cover(module, cfg)
+    decomposition, arrays, multiplicities, jm_mask = _cover(module, cfg)
     no = _kernel_verdict(module, decomposition, multiplicities)
     if no is not None:
         return no
     ring, act = module.ring, module.act_table
     phi = np.zeros(1, dtype=np.int64)
     psi = np.zeros((1, module.num_generators), dtype=np.int64)  # cover digits
-    for (e, *_), (column, _, corner, _), a in zip(decomposition.classes, constants, multiplicities):
-        picks = walk(module.add, jm_mask.copy(), np.unique(act[e]).tolist(), lambda m: act[corner, m])
+    for (e, *_), (column, _, corner_gens), a in zip(decomposition.classes, arrays, multiplicities):
+        picks = walk(module.add, jm_mask.copy(), np.unique(act[e]).tolist(), lambda m: act[corner_gens, m])
         if len(picks) != a:
             raise ConsistencyError(f"{module.label}: {len(picks)} picks in e M for e = {e}, not {a}")
         for m in picks:

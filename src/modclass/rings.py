@@ -484,6 +484,28 @@ def unit_mask(ring: FiniteRing) -> np.ndarray:
     return mask
 
 
+def idempotents(ring: FiniteRing) -> tuple[int, ...]:
+    """All e with e*e = e, by full enumeration."""
+    idx = np.arange(ring.size)
+    return tuple(int(v) for v in idx[ring.mul_table[idx, idx] == idx])
+
+
+def central_primitive_idempotents(ring: FiniteRing) -> tuple[int, ...]:
+    """The central primitive idempotents c_b, ascending: R = ∏ R·c_b.
+
+    z is central iff it commutes with R's additive generators, by
+    biadditivity.  The central idempotents form a Boolean algebra under
+    e ≤ f ⇔ e·f = e, and the c_b are its atoms: the nonzero ones with no
+    central idempotent other than 0 and c_b below them.
+    """
+    mul = ring.mul_table
+    gens = ring._gens
+    central = (mul[:, gens] == mul[gens, :].T).all(axis=1)
+    es = np.array([e for e in idempotents(ring) if central[e]], dtype=np.int64)
+    below = mul[es[:, None], es[None, :]] == es[None, :]  # below[i, j]: e_j ≤ e_i
+    return tuple(int(e) for e, n in zip(es, below.sum(axis=1)) if e != 0 and n == 2)
+
+
 # -- constructions ---------------------------------------------------------------
 
 

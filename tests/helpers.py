@@ -3,6 +3,8 @@
 import numpy as np
 
 from modclass import ModuleHom
+from modclass.modules import _submodule_generators
+from modclass.subgroup import span
 
 
 def hom_is_valid(hom) -> bool:
@@ -37,3 +39,15 @@ def all_hold(report) -> bool:
 def formula_to_json(phi) -> dict:
     """A PPFormula as the JSON object that PPFormula.from_json_dict reads."""
     return {"free": phi.free, "bound": phi.bound, "eqs": [list(r) for r in phi.equations]}
+
+
+def submodule_generated(module, seeds) -> np.ndarray:
+    """Least submodule containing the seeds: the additive span of the e_i s,
+    for R's additive generators e_i and the seeds s."""
+    products = module.act_table[np.ix_(module.ring._gens, np.asarray(seeds, dtype=np.int64))]
+    return np.flatnonzero(span(module.add, module.size, products.ravel()))
+
+
+def is_submodule(module, elements) -> bool:
+    """An additive subgroup closed under the action of each e_i is closed under R."""
+    return _submodule_generators(module, np.asarray(elements, dtype=np.int64)) is not None

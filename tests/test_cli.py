@@ -294,6 +294,22 @@ class TestOtherCommands:
         assert err.startswith("error: pp formula JSON")
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "StructConst({path})"),
+            ("check-paper", "--seeds", "1", "--add-struct-const-unchecked", "{path}"),
+            ("ppval", "Z/4", "{path}"),
+        ],
+    )
+    def test_a_directory_is_a_spec_error(self, capsys, tmp_path, argv):
+        # Each command that reads a file names it and exits 2, as for a missing file.
+        code, _, err = run_cli(capsys, *(arg.format(path=tmp_path) for arg in argv))
+        assert code == EXIT_SPEC
+        assert err.startswith(f"error: {tmp_path}: ")
+
+
 class TestCheckPaperNegativeControl:
     def test_corrupted_injection_names_the_ring(self, capsys, tmp_path):
         table = ((np.arange(6)[:, None] * np.arange(6)[None, :]) % 6).tolist()

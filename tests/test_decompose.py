@@ -10,6 +10,7 @@ import pytest
 from modclass import (
     DEFAULTS,
     DecompositionSignature,
+    IndecomposableRegistry,
     ModuleHom,
     SizeCapError,
     baur_monk_invariant,
@@ -213,6 +214,16 @@ class TestRingStructureKeptOnRing:
         assert str(raised.value) == "P1(M(2,GF(2))): module size 4 above cap 3"
         assert primitive_decomposition(m2f2).sizes == (4,)
 
+    def test_classify_ring_builds_no_class_arrays(self):
+        # The per-class arrays serve projective-cover counts alone, so a ring
+        # that is only classified never builds them.
+        for spec in ("GF(128)", "M(2,Z/4)", "PolyQuot(GF(2),[1,0,0,1,0,0,0,0,0,1])", "T(2,GF(2)) x Z/4"):
+            ring = build_ring(spec)
+            classify_ring(ring)
+            assert ring._decomposition is not None and "_class_arrays" not in vars(ring._decomposition), spec
+            assert is_projective_module(regular_module(ring)).value
+            assert len(vars(ring._decomposition)["_class_arrays"]) == ring._decomposition.k, spec
+
     def test_kept_decomposition_is_frozen(self, z6):
         decomposition = primitive_decomposition(z6)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -252,6 +263,16 @@ class TestKrullSchmidt:
                 for b in pieces:
                     combined = krull_schmidt(direct_sum(a, b))
                     assert combined == krull_schmidt(a).combine(krull_schmidt(b))
+
+    def test_signatures_compare_the_registry_by_identity_then_the_entries(self):
+        first, second = IndecomposableRegistry(), IndecomposableRegistry()
+        entries = ((0, 2), (1, 1))
+        assert DecompositionSignature(first, entries) != DecompositionSignature(second, entries)
+        assert DecompositionSignature(first, entries) != DecompositionSignature(first, entries[:1])
+        same = DecompositionSignature(first, tuple(list(entries)))
+        assert same == DecompositionSignature(first, entries)
+        assert hash(same) == hash(DecompositionSignature(first, entries))
+        assert len({same, DecompositionSignature(first, entries), DecompositionSignature(second, entries)}) == 2
 
     def test_seed_invariance_regular_and_square(self, corpus):
         for spec, ring in corpus.items():
@@ -355,11 +376,13 @@ class TestRegistryLifetime:
         krull_schmidt(module)
         for phi, psi in library_pairs(ring):
             baur_monk_invariant(module, phi, psi)
+        # The pp residuals and the decomposition's cached class arrays hold
+        # arrays alone, never the ring.
         residuals = ring._pp_residuals
-        constants = primitive_decomposition(ring)._constants_kept
-        assert len(residuals) > 1 and len(constants[1]) == 3
-        for store in (residuals, constants):
-            assert {type(leaf) for leaf in _leaves(store)} == {np.ndarray} | ({int} if store is constants else set())
+        arrays = primitive_decomposition(ring).__dict__["_class_arrays"]
+        assert len(residuals) > 1 and len(arrays) == 3 and all(len(a) == 3 for a in arrays)
+        for store in (residuals, arrays):
+            assert {type(leaf) for leaf in _leaves(store)} == {np.ndarray}
         del ring, module
         gc.collect()
         assert ref() is None

@@ -30,15 +30,14 @@ from modclass import (
     DEFAULTS,
     EngineConfig,
     FiniteModule,
-    submodule_generated,
 )
 from modclass import ideals as ideals_module, modules as modules_module, subgroup as subgroup_module
 from modclass.corpus import BUILTIN_CORPUS_SPECS
-from modclass.modules import _relation_generators, hom_candidate_blocks, is_submodule
+from modclass.modules import _relation_generators, hom_candidate_blocks
 from modclass.properties import is_flat_module, is_projective_module
 from modclass.rings import _fill, base_digits, base_index
 from modclass.subgroup import generators, span
-from helpers import compose, hom_is_valid
+from helpers import compose, hom_is_valid, is_submodule, submodule_generated
 
 
 class TestConstruction:

@@ -13,6 +13,7 @@ from modclass import (
     FiniteModule,
     Ideal,
     ModuleHom,
+    SizeCapError,
     all_submodules,
     build_ring,
     corpus_test_modules,
@@ -32,12 +33,12 @@ from modclass import (
     regular_module,
     ring_from_tables,
     submodule_as_module,
-    submodule_generated,
     zero_module,
 )
 from modclass import properties, subgroup
 from modclass.modules import _relation_generators, hom_candidate_blocks
 from modclass.subgroup import span, walk
+from helpers import submodule_generated
 
 
 def split_surjection_search(pi):
@@ -53,6 +54,19 @@ def split_surjection_search(pi):
             coords = target.coords(np.arange(target.size)).T
             return ModuleHom(target, source, source.combine(coords, block[:, 0]))
     return None
+
+
+def class_constants(ring, in_radical, classes):
+    """Per class, with e its first idempotent and J given by its mask: the
+    column Re (sorted), |S| = |Re : Je|, the additive generators e·r_k·e of
+    eRe, and |D| = |eRe : eJe| with D = End(S), computed in one pass."""
+    mul, constants = ring.mul_table, []
+    for e, *_ in classes:
+        column, corner = np.unique(mul[:, e]), np.unique(mul[mul[e, :], e])
+        simple = len(column) // int(np.count_nonzero(in_radical[column]))
+        division = len(corner) // int(np.count_nonzero(in_radical[corner]))
+        constants.append((column, simple, np.unique(mul[mul[e, ring._gens], e]), division))
+    return constants
 
 
 def flat_by_definition(module, n_max=2, l_max=2):
@@ -399,6 +413,34 @@ class TestCoverCountOracles:
         assert not calls
         assert not is_projective_module(top).value and not calls
         assert is_projective_module(reg).value and calls
+
+    def test_class_sizes_match_the_one_pass_constants(self, corpus):
+        for ring in list(corpus.values()) + random_recipe_rings(60, seed=3, max_size=64):
+            decomposition, in_radical = primitive_decomposition(ring), jacobson_radical(ring)._mask
+            expected = class_constants(ring, in_radical, decomposition.classes)
+            sizes = properties._class_sizes(decomposition, in_radical)
+            assert sizes == [(simple, division) for _, simple, _, division in expected], ring.label
+            for (e, *_), arrays, (column, _, corner_gens, _) in zip(
+                decomposition.classes, decomposition._class_arrays, expected
+            ):
+                assert np.array_equal(arrays[0], column) and np.array_equal(arrays[2], corner_gens), ring.label
+                assert np.array_equal(arrays[1], np.unique(ring.mul_table[ring.mul_table[e, :], e])), ring.label
+
+    def test_one_count_per_module_asked_free_and_projective(self, monkeypatch):
+        counted = []
+        count = properties._count
+        monkeypatch.setattr(properties, "_count", lambda module, d: counted.append(module) or count(module, d))
+        rings = [build_ring(spec) for spec in ("Z/4", "T(2,GF(2))", "GF(2) x M(2,GF(2))")]
+        modules = [m for ring in rings for m in corpus_test_modules(ring) if m.size > 1]
+        for module in modules:
+            free, projective = is_free_module(module), is_projective_module(module)
+            assert (free.value, projective.value) == (is_free_module(module).value, is_projective_module(module).value)
+        assert len(counted) == len(modules) and all(a is b for a, b in zip(counted, modules))
+        # A kept count does not skip the caps: the decomposition is fetched again.
+        module = modules[-1]
+        low = DEFAULTS.with_overrides(max_module=max(primitive_decomposition(module.ring).sizes) - 1)
+        with pytest.raises(SizeCapError):
+            is_free_module(module, low)
 
     def test_dropped_class_raises(self, monkeypatch, corpus):
         ring = corpus["GF(2) x M(2,GF(2))"]

@@ -23,7 +23,6 @@ from modclass import (
     one_sided_ideals,
     random_recipe_rings,
     regular_module,
-    submodule_generated,
 )
 from modclass import ideals as ideals_module
 from modclass.ideals import IDEAL_ENUM_CAP
@@ -38,6 +37,7 @@ from modclass.subgroup import (
     walk,
     zero,
 )
+from helpers import submodule_generated
 from test_pp import sweep_specs
 from test_rings import traced_peak_mb
 
