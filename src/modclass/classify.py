@@ -82,14 +82,6 @@ class ClassificationReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassificationReport":
-        known = {f for f in cls.__dataclass_fields__}
-        missing = known - data.keys()
-        if missing:
-            raise ValueError(f"report missing fields {sorted(missing)}")
-        return cls(**{k: data[k] for k in known})
-
 
 _ORIENTATION_NOTE = (
     "chain conditions are used in the left-perfect with right-coherent orientation; "

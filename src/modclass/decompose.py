@@ -1,5 +1,6 @@
-"""Primitive idempotent decomposition of rings and Krull-Schmidt decomposition
-of finite modules, with a per-ring registry of indecomposable isomorphism classes."""
+"""Primitive idempotent decomposition of rings, the projective-cover count
+that reads it, and Krull-Schmidt decomposition of finite modules, with a
+per-ring registry of indecomposable isomorphism classes."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError, SizeCapError
+from .ideals import jacobson_radical
 from .modules import FiniteModule, _present, find_bijective_hom, hom_candidate_blocks
 from .rings import FiniteRing
+from .subgroup import _sumset, zero
 from .verdict import Verdict
 
 
@@ -193,6 +196,65 @@ def _decompose(
     return decomposition
 
 
+# -- projective-cover counts ------------------------------------------------------
+
+
+def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposition, tuple, tuple, np.ndarray]:
+    """R's decomposition, its per-class arrays, the a_i of M/JM = (+) S_i^a_i
+    and JM's mask.  M's projective cover is (+) P_i^a_i, and M is projective,
+    and then isomorphic to it, iff the two have the same size.  The
+    decomposition is fetched, under ``cfg``'s caps, and checked on every
+    call; the a_i and JM are counted once per module and kept on it.
+    """
+    ring = module.ring
+    decomposition = primitive_decomposition(ring, cfg)
+    if decomposition.sum_size(decomposition.multiplicities) != ring.size:
+        raise ConsistencyError(f"{ring.label}: primitive classes do not cover the regular module")
+    if module._cover_counts is None:
+        module._cover_counts = _count(module, decomposition)
+    return decomposition, decomposition._class_arrays, *module._cover_counts
+
+
+def _count(module: FiniteModule, decomposition: IdempotentDecomposition) -> tuple[tuple[int, ...], np.ndarray]:
+    """The a_i and JM's mask, by counting alone.
+
+    JM is the sumset of the subgroups J·g over M's generators g.  For e = e_i,
+    e(M/JM) = eM / (eM ∩ JM) has |D|^a_i elements, D = eRe/eJe, since
+    eS_j = 0 for j != i and |eS_i| = |D|.  An index that is no power of |D|,
+    or |M : JM| != prod |S_i|^a_i, raises ConsistencyError rather than give a
+    verdict.
+    """
+    in_radical = jacobson_radical(module.ring)._mask
+    act, radical = module.act_table, np.flatnonzero(in_radical)
+    jm, jm_mask = np.zeros(1, dtype=np.int64), zero(module.size)
+    for g in module.gens:
+        part_mask = np.zeros(module.size, dtype=bool)
+        part_mask[act[radical, g]] = True  # J·g, the image of J under r -> r·g
+        jm, jm_mask = _sumset(module.add, jm, jm_mask, np.flatnonzero(part_mask), part_mask)
+    multiplicities, top = [], 1
+    for (e, *_), (simple, division) in zip(decomposition.classes, _class_sizes(decomposition, in_radical)):
+        em = np.unique(act[e])
+        index, a = np.count_nonzero(jm_mask[em]), 0
+        while index < len(em) and division > 1:
+            index, a = index * division, a + 1
+        if index != len(em):
+            raise ConsistencyError(f"{module.label}: |eM : eJM| for e = {e} is no power of |D| = {division}")
+        multiplicities.append(a)
+        top *= simple**a
+    size = decomposition.sum_size(multiplicities)
+    if top * len(jm) != module.size or size % module.size:
+        raise ConsistencyError(f"{module.label}: projective cover of size {size} does not map onto M")
+    return tuple(multiplicities), jm_mask
+
+
+def _class_sizes(decomposition: IdempotentDecomposition, in_radical: np.ndarray) -> list[tuple[int, int]]:
+    """Per class, |S_i| = |Re_i : Je_i| and |D_i| = |e_iRe_i : e_iJe_i|, counted on J's mask."""
+    return [
+        tuple(len(part) // int(np.count_nonzero(in_radical[part])) for part in (column, corner))
+        for column, corner, _ in decomposition._class_arrays
+    ]
+
+
 # -- indecomposable registry and signatures --------------------------------------
 
 
@@ -207,10 +269,17 @@ class IndecomposableRegistry:
     def __init__(self):
         self.representatives: list[FiniteModule] = []
 
-    def classify(self, module: FiniteModule, cfg: EngineConfig | None = None) -> int:
+    def classify(
+        self, module: FiniteModule, cfg: EngineConfig | None = None, distinct: Sequence[FiniteModule] = ()
+    ) -> int:
+        """``module``'s class id: a registered module itself is found with no
+        search, and no rep among ``distinct`` (known non-isomorphic) is searched."""
         cfg = cfg or DEFAULTS
         for class_id, rep in enumerate(self.representatives):
-            if rep.size != module.size:
+            if rep is module:
+                return class_id
+        for class_id, rep in enumerate(self.representatives):
+            if rep.size != module.size or any(rep is other for other in distinct):
                 continue
             if find_bijective_hom(module, rep, cfg) is not None:
                 return class_id
@@ -273,24 +342,50 @@ def _find_splitting_idempotent(
     return None
 
 
+def _counted_signature(
+    module: FiniteModule, cfg: EngineConfig, registry: IndecomposableRegistry
+) -> DecompositionSignature | None:
+    """{class(P_i): a_i} when M is its projective cover (+) P_i^a_i; None when
+    M is not projective or the count is above a cap."""
+    try:
+        decomposition, _, multiplicities, _ = _cover(module, cfg)
+    except SizeCapError:
+        return None
+    if decomposition.sum_size(multiplicities) != module.size:
+        return None
+    reps = decomposition.representatives  # pairwise non-isomorphic
+    ids = ((registry.classify(p, cfg, reps), a) for p, a in zip(reps, multiplicities) if a)
+    return DecompositionSignature(registry, tuple(sorted(ids)))
+
+
 def krull_schmidt(
     module: FiniteModule,
     cfg: EngineConfig | None = None,
     rng: np.random.Generator | None = None,
     registry: IndecomposableRegistry | None = None,
 ) -> DecompositionSignature:
-    """Decompose into indecomposables by splitting idempotent endomorphisms.
+    """Decompose into indecomposables by the projective-cover count, else by
+    splitting idempotent endomorphisms.
 
-    An idempotent pi splits M = pi(M) (+) (1 - pi)(M); each half is presented
-    once, from the images pi(g_j) and the g_j - pi(g_j) of M's generators,
-    and their sizes must multiply to |M|.  Requires End(M) searches within
-    the hom cap.  The output multiset does not depend on the search order;
-    the seeded mode exists to test exactly that.
+    Unseeded, M and each half of a split is counted first: if its cover
+    (+) P_i^a_i has |M| elements, M is isomorphic to it (Anderson & Fuller,
+    GTM 13, sections 12 and 27), and its signature is {class(P_i): a_i}, with
+    the P_i of R's kept decomposition and no End(M) search.  A count above a
+    cap falls through to the search.  An idempotent pi splits
+    M = pi(M) (+) (1 - pi)(M); each half is presented once, from the images
+    pi(g_j) and the g_j - pi(g_j) of M's generators, and their sizes must
+    multiply to |M|.  Requires End(M) searches within the hom cap.  The
+    seeded mode searches every module: it is the oracle for the count and
+    for the search order, which the output multiset does not depend on.
     """
     cfg = cfg or DEFAULTS
     registry = registry or get_registry(module.ring)
     if module.size == 1:
         return DecompositionSignature(registry, ())
+    if rng is None:
+        counted = _counted_signature(module, cfg, registry)
+        if counted is not None:
+            return counted
 
     images = _find_splitting_idempotent(module, cfg, rng)
     if images is None:
@@ -316,8 +411,9 @@ def is_isomorphic(
 ) -> Verdict:
     """Size check, then decomposition signatures, then direct hom search.
 
-    A true verdict carries an explicit isomorphism when the search space is
-    small, otherwise the common signature; a false verdict carries the
+    Two projective modules compare by their counted a_i.  A true verdict
+    carries an explicit isomorphism when the search space is small,
+    otherwise the common signature; a false verdict carries the
     distinguishing signatures (or sizes).
     """
     cfg = cfg or DEFAULTS

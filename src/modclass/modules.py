@@ -86,7 +86,7 @@ class FiniteModule:
         self._add_table: np.ndarray | None = None
         self._relation_gens: np.ndarray | None = None  # set by _relation_generators
         self._pp_masks: dict = {}  # filled by pp._solution_mask
-        self._cover_counts: tuple | None = None  # set by properties._cover: the a_i and JM's mask
+        self._cover_counts: tuple | None = None  # set by decompose._cover: the a_i and JM's mask
 
     # -- free-cover arithmetic (indices with base-|R| digits) -------------------
 

@@ -6,14 +6,17 @@ idempotent e_i per class and M/JM = (+) S_i^a_i, and P(M) -> M has a
 superfluous kernel (Bass 1960; Anderson & Fuller, GTM 13, section 27).  So M
 is projective iff |P(M)| = |M|, and free of rank c iff it is projective with
 a_i = c r_i, where R = (+) P_i^r_i.  Counting decides: |e_iM : e_iJM| =
-|D_i|^a_i, D_i = e_iRe_i / e_iJe_i, walking no element.  The ring-only
+|D_i|^a_i, D_i = e_iRe_i / e_iJe_i, walking no element.  The count lives in
+``decompose`` (``_cover``), beside the decomposition it reads, since
+Krull-Schmidt reads a projective module's summands off it too.  The ring-only
 arrays per class (Re_i, e_iRe_i and its additive generators) are a cached
 property of R's kept decomposition, |S_i| and |D_i| are counted on J's mask,
-and a module keeps its a_i and JM, so asking it both whether it is free and
-whether it is projective counts once.  Only a projective "yes" walks the
-e_iM, to build its section: the cover indices s with cls∘s = id, checked
-exactly, with no module built for them.  Krull-Schmidt, a section search and
-the counting walk stay as test oracles.
+and a module keeps its a_i and JM, so asking it whether it is free, whether
+it is projective and for its Krull-Schmidt signature counts once.  Only a
+projective "yes" walks the e_iM, to build its section: the cover indices s
+with cls∘s = id, checked exactly, with no module built for them.  A section
+search, the counting walk and the seeded (searched) Krull-Schmidt stay as
+test oracles; the search is the oracle on projective modules.
 
 Flatness is decided by Tor.  With M = R^g / K, tensoring with R/J gives
 Tor_1(R/J, M) = (K ∩ J^g) / JK, and M is flat iff it vanishes: every simple
@@ -32,66 +35,11 @@ import numpy as np
 
 from .config import DEFAULTS, EngineConfig
 from .errors import ConsistencyError
-from .decompose import IdempotentDecomposition, primitive_decomposition
+from .decompose import IdempotentDecomposition, _cover
 from .ideals import jacobson_radical
 from .modules import FiniteModule, _relation_generators
-from .subgroup import _sumset, span, walk, zero
+from .subgroup import span, walk
 from .verdict import Verdict
-
-
-def _cover(module: FiniteModule, cfg: EngineConfig) -> tuple[IdempotentDecomposition, tuple, tuple, np.ndarray]:
-    """R's decomposition, its per-class arrays, the a_i of M/JM = (+) S_i^a_i
-    and JM's mask.  The decomposition is fetched, under ``cfg``'s caps, and
-    checked on every call; the a_i and JM are counted once per module and
-    kept on it.
-    """
-    ring = module.ring
-    decomposition = primitive_decomposition(ring, cfg)
-    if decomposition.sum_size(decomposition.multiplicities) != ring.size:
-        raise ConsistencyError(f"{ring.label}: primitive classes do not cover the regular module")
-    if module._cover_counts is None:
-        module._cover_counts = _count(module, decomposition)
-    return decomposition, decomposition._class_arrays, *module._cover_counts
-
-
-def _count(module: FiniteModule, decomposition: IdempotentDecomposition) -> tuple[tuple[int, ...], np.ndarray]:
-    """The a_i and JM's mask, by counting alone.
-
-    JM is the sumset of the subgroups J·g over M's generators g.  For e = e_i,
-    e(M/JM) = eM / (eM ∩ JM) has |D|^a_i elements, D = eRe/eJe, since
-    eS_j = 0 for j != i and |eS_i| = |D|.  An index that is no power of |D|,
-    or |M : JM| != prod |S_i|^a_i, raises ConsistencyError rather than give a
-    verdict.
-    """
-    in_radical = jacobson_radical(module.ring)._mask
-    act, radical = module.act_table, np.flatnonzero(in_radical)
-    jm, jm_mask = np.zeros(1, dtype=np.int64), zero(module.size)
-    for g in module.gens:
-        part_mask = np.zeros(module.size, dtype=bool)
-        part_mask[act[radical, g]] = True  # J·g, the image of J under r -> r·g
-        jm, jm_mask = _sumset(module.add, jm, jm_mask, np.flatnonzero(part_mask), part_mask)
-    multiplicities, top = [], 1
-    for (e, *_), (simple, division) in zip(decomposition.classes, _class_sizes(decomposition, in_radical)):
-        em = np.unique(act[e])
-        index, a = np.count_nonzero(jm_mask[em]), 0
-        while index < len(em) and division > 1:
-            index, a = index * division, a + 1
-        if index != len(em):
-            raise ConsistencyError(f"{module.label}: |eM : eJM| for e = {e} is no power of |D| = {division}")
-        multiplicities.append(a)
-        top *= simple**a
-    size = decomposition.sum_size(multiplicities)
-    if top * len(jm) != module.size or size % module.size:
-        raise ConsistencyError(f"{module.label}: projective cover of size {size} does not map onto M")
-    return tuple(multiplicities), jm_mask
-
-
-def _class_sizes(decomposition: IdempotentDecomposition, in_radical: np.ndarray) -> list[tuple[int, int]]:
-    """Per class, |S_i| = |Re_i : Je_i| and |D_i| = |e_iRe_i : e_iJe_i|, counted on J's mask."""
-    return [
-        tuple(len(part) // int(np.count_nonzero(in_radical[part])) for part in (column, corner))
-        for column, corner, _ in decomposition._class_arrays
-    ]
 
 
 def _kernel_verdict(

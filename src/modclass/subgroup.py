@@ -189,14 +189,19 @@ def _join_closure(
     no seed of a P_j, j < i, outside A lies in it (Ganter's NextClosure test).
     With I(C) the j with P_j in C and cl(S) the join of the P_j, j in S, C != {0}
     is kept from one pair only, i least with cl(I(C) ∩ [0, i]) = C and A =
-    cl(I(C) ∩ [0, i)): a kept C = A + P_i has I(C) ∩ [0, i) = I(A) ∩ [0, i), forcing both."""
+    cl(I(C) ∩ [0, i)): a kept C = A + P_i has I(C) ∩ [0, i) = I(A) ∩ [0, i), forcing both.
+    As P_i ⊆ A + P_i, a seed outside A that lies in P_i itself rejects the join
+    before its sumset is built."""
     irreducible, masks, seeds = _join_irreducible(add, size, parts)
+    seeds_in = masks[:, seeds]  # seeds_in[i, j]: the seed of P_j lies in P_i
     bottom = np.zeros(1, dtype=np.int64)
     members = [(bottom, ())]
     stack = [(bottom, zero(size), np.zeros(len(irreducible), dtype=bool), 0, ())]
     while stack:
         base, base_mask, base_in, first, joined_from = stack.pop()
         for i in first + np.flatnonzero(~base_in[first:]):
+            if (seeds_in[i, :i] & ~base_in[:i]).any():
+                continue
             joined, joined_mask = _sumset(add, base, base_mask, irreducible[i], masks[i])
             joined_in = joined_mask[seeds]  # which P_j lie in it
             if (joined_in[:i] != base_in[:i]).any():

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from modclass import ModuleHom
+from modclass import ClassificationReport, ModuleHom
 from modclass.modules import _submodule_generators
 from modclass.subgroup import span
 
@@ -51,3 +51,12 @@ def submodule_generated(module, seeds) -> np.ndarray:
 def is_submodule(module, elements) -> bool:
     """An additive subgroup closed under the action of each e_i is closed under R."""
     return _submodule_generators(module, np.asarray(elements, dtype=np.int64)) is not None
+
+
+def report_from_dict(data: dict) -> ClassificationReport:
+    """The ClassificationReport that ``to_dict`` wrote; a missing field raises."""
+    known = set(ClassificationReport.__dataclass_fields__)
+    missing = known - data.keys()
+    if missing:
+        raise ValueError(f"report missing fields {sorted(missing)}")
+    return ClassificationReport(**{k: data[k] for k in known})

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from modclass import (
-    ClassificationReport,
     DEFAULTS,
     ConsistencyError,
     Verdict,
@@ -26,6 +25,7 @@ from modclass import (
 )
 from modclass import classify as classify_module
 from modclass.classify import verdict_holds
+from helpers import report_from_dict
 from test_golden_outputs import META_KEY, golden, meta_suite_output
 
 
@@ -64,7 +64,7 @@ class TestClassifyRing:
     def test_json_round_trip(self, corpus):
         for ring in corpus.values():
             report = classify_ring(ring)
-            recovered = ClassificationReport.from_dict(json.loads(json.dumps(report.to_dict())))
+            recovered = report_from_dict(json.loads(json.dumps(report.to_dict())))
             assert recovered == report
 
     def test_local_unique_indecomposable_is_the_regular_module(self, corpus):

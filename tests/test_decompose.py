@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from modclass import (
+    BUILTIN_CORPUS_SPECS,
     DEFAULTS,
     DecompositionSignature,
     IndecomposableRegistry,
@@ -22,6 +23,7 @@ from modclass import (
     cyclic_submodule,
     direct_sum,
     free_module,
+    generated_module_family,
     get_registry,
     idempotents,
     is_flat_module,
@@ -37,6 +39,7 @@ from modclass import (
     submodule_as_module,
 )
 from modclass import decompose, ideals
+from modclass import modules as modules_module
 from modclass.decompose import _find_splitting_idempotent
 from modclass.modules import hom_candidate_blocks
 
@@ -282,6 +285,74 @@ class TestKrullSchmidt:
                 base = krull_schmidt(module)
                 for seed in (1, 2, 3):
                     assert krull_schmidt(module, rng=np.random.default_rng(seed)) == base
+
+
+class TestKrullSchmidtOfProjectives:
+    """A projective M is read off its counted cover (+) P_i^a_i; the seeded
+    mode, which searches End(M), is the oracle."""
+
+    def test_small_cubes_and_a_free_square_decompose_at_the_default_caps(self, corpus):
+        # Searched, R^2 over GF(2) x M(2,GF(2)) scans 1,048,576 candidates and
+        # (Z/12)^3 about 5.2e9, both above max_homs.
+        targets = [(corpus["GF(2) x M(2,GF(2))"], 2)]
+        targets += [(ring, 3) for ring in corpus.values() if ring.size <= 16]
+        assert len(targets) == 11
+        for ring, n in targets:
+            reg = module = regular_module(ring)
+            for _ in range(n - 1):
+                module = direct_sum(module, reg)
+            decomposition = primitive_decomposition(ring)
+            expected = tuple(sorted((p, n * r) for p, r in zip(decomposition.sizes, decomposition.multiplicities)))
+            assert krull_schmidt(module, DEFAULTS).sizes() == expected, (ring.label, n)
+
+    def test_counted_equals_searched_on_projective_family_modules(self, corpus):
+        checked = above_caps = 0
+        for ring in corpus.values():
+            for module in generated_module_family(ring):
+                if not is_projective_module(module).value:
+                    continue
+                counted = krull_schmidt(module)
+                try:
+                    searched = krull_schmidt(module, rng=np.random.default_rng(1))
+                except SizeCapError:
+                    above_caps += 1
+                    continue
+                assert searched == counted, module.label
+                checked += 1
+        assert (checked, above_caps) == (640, 1)
+
+    def test_no_end_search_on_a_projective_module(self, monkeypatch):
+        # A fresh ring whose registry first holds searched classes: the only
+        # hom searches left are the registry's matching of each P_i.
+        specs = [spec for spec in BUILTIN_CORPUS_SPECS if build_ring(spec).size <= 16]
+        for spec in specs + ["GF(2) x M(2,GF(2))"]:
+            ring = build_ring(spec)
+            seeded = krull_schmidt(regular_module(ring), rng=np.random.default_rng(1))
+            labels = [p.label for p in primitive_decomposition(ring).representatives]
+            searches = []
+            blocks = modules_module.solution_blocks
+            monkeypatch.setattr(
+                modules_module,
+                "solution_blocks",
+                lambda module, rows, cfg, what, rng=None: searches.append(what) or blocks(module, rows, cfg, what, rng),
+            )
+            assert krull_schmidt(regular_module(ring)) == seeded, spec
+            square = krull_schmidt(direct_sum(regular_module(ring), regular_module(ring)))
+            assert square == seeded.combine(seeded), spec
+            monkeypatch.undo()
+            assert all(any(what.startswith(f"hom search {label} -> ") for label in labels) for what in searches), (
+                spec,
+                searches,
+            )
+
+    def test_a_count_above_the_caps_falls_through_to_the_search(self, z6):
+        # Below |P_2| = 3, the decomposition raises; Z/2 still decomposes by search.
+        half = quotient_module(regular_module(z6), [0, 2, 4])
+        low = DEFAULTS.with_overrides(max_module=2)
+        with pytest.raises(SizeCapError):
+            primitive_decomposition(z6, low)
+        assert krull_schmidt(half, low).sizes() == ((2, 1),)
+        assert primitive_decomposition(z6).sizes == (2, 3)
 
 
 def per_tuple_splitting_idempotent(module):

@@ -25,6 +25,7 @@ from modclass import (
     regular_module,
 )
 from modclass import ideals as ideals_module
+from modclass import subgroup as subgroup_module
 from modclass.ideals import IDEAL_ENUM_CAP
 from modclass.subgroup import (
     _join_closure,
@@ -279,6 +280,17 @@ def test_lattice_joins_in_bounded_memory(spec, rank):
     members, mb = traced_peak_mb(lambda: all_submodules(module))
     assert len(members) == expected
     assert mb < 2, mb
+
+
+def test_a_join_is_rejected_before_its_sumset(monkeypatch):
+    # A seed outside A that lies in P_i itself rejects A + P_i unbuilt: R^2
+    # over Z/64 tried 36,446 sumsets when each join was built before its test.
+    calls = []
+    sumset = subgroup_module._sumset
+    monkeypatch.setattr(subgroup_module, "_sumset", lambda *args: calls.append(1) or sumset(*args))
+    reg = regular_module(build_ring("Z/64"))
+    assert len(all_submodules(direct_sum(reg, reg))) == 367
+    assert len(calls) < 4_000, len(calls)
 
 
 # -- the canonical closure against the closure that dedupes by bytes -------------
