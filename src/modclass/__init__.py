@@ -68,7 +68,6 @@ from .decompose import (
     DecompositionSignature,
     IdempotentDecomposition,
     IndecomposableRegistry,
-    corner_isomorphism,
     get_registry,
     is_isomorphic,
     krull_schmidt,

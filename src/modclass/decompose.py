@@ -1,6 +1,7 @@
-"""Primitive idempotent decomposition of rings, the projective-cover count
-that reads it, and Krull-Schmidt decomposition of finite modules, with a
-per-ring registry of indecomposable isomorphism classes."""
+"""Primitive idempotent decomposition of rings, computed once per ring and
+kept on it, the projective-cover count that reads it, and Krull-Schmidt
+decomposition of finite modules, with a per-ring registry of indecomposable
+isomorphism classes."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
-from .errors import ConsistencyError, SizeCapError
+from .errors import ConsistencyError, SizeCapError, check_cap
 from .ideals import jacobson_radical
 from .modules import FiniteModule, _present, find_bijective_hom, hom_candidate_blocks
 from .rings import FiniteRing
@@ -26,40 +27,30 @@ def _corner(ring: FiniteRing, e: int) -> np.ndarray:
     return np.unique(ring.mul_table[ring.mul_table[e, :], e])
 
 
-def _corner_idempotent(ring: FiniteRing, e: int, order: np.ndarray | None = None) -> int | None:
-    """An idempotent f of eRe with f not in {0, e}, or None if e is primitive."""
+def _corner_idempotent(ring: FiniteRing, e: int) -> int | None:
+    """The least idempotent f of eRe with f not in {0, e}, or None if e is primitive."""
     corner = _corner(ring, e)
     candidates = corner[(ring.mul_table[corner, corner] == corner)]
     candidates = candidates[(candidates != 0) & (candidates != e)]
-    if len(candidates) == 0:
-        return None
-    if order is not None:
-        pos = np.argsort(order[candidates], kind="stable")
-        return int(candidates[pos[0]])
-    return int(candidates[0])
+    return int(candidates[0]) if len(candidates) else None
 
 
-def corner_isomorphism(ring: FiniteRing, e: int, f: int) -> tuple[int, int] | None:
-    """Witness (a, b) with a in eRf, b in fRe, ab = e, ba = f, if Re ≅ Rf."""
+def _isomorphic_left_ideals(ring: FiniteRing, e: int, f: int) -> bool:
+    """Re ≅ Rf for primitive e and f iff e = ab for some a in eRf, b in fRe:
+    then ba is a nonzero idempotent of fRf, so ba = f."""
     mul = ring.mul_table
     erf = np.unique(mul[mul[e, :], f])
     fre = np.unique(mul[mul[f, :], e])
-    prod_ab = mul[np.ix_(erf, fre)]
-    hits = np.argwhere(prod_ab == e)
-    for i, j in hits:
-        a, b = int(erf[i]), int(fre[j])
-        if int(mul[b, a]) == f:
-            return a, b
-    return None
+    return bool((mul[np.ix_(erf, fre)] == e).any())
 
 
 @dataclass(frozen=True)
 class IdempotentDecomposition:
     """A complete orthogonal set of primitive idempotents, grouped by the
     isomorphism class of the left ideals they generate: a plain frozen
-    record.  The unseeded decomposition is kept on the ring and shared by
-    every caller over it; the per-class arrays that a projective-cover count
-    reads are a cached property, built the first time one is asked for."""
+    record.  It is kept on the ring and shared by every caller over it; the
+    per-class arrays that a projective-cover count reads are a cached
+    property, built the first time one is asked for."""
 
     ring: FiniteRing
     idempotents: tuple[int, ...]
@@ -113,48 +104,42 @@ class IdempotentDecomposition:
             )
 
 
-def primitive_decomposition(
-    ring: FiniteRing,
-    cfg: EngineConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> IdempotentDecomposition:
+def primitive_decomposition(ring: FiniteRing, cfg: EngineConfig | None = None) -> IdempotentDecomposition:
     """Refine {1} into a complete orthogonal set of primitive idempotents.
 
-    Each non-primitive idempotent e splits as {f, e-f} for an idempotent f of
-    the corner eRe; the count strictly increases, so refinement terminates.
-    The search order is ascending by element index unless an rng is supplied
-    (the randomized mode exists for the order-invariance property test).
+    Each non-primitive idempotent e splits as {f, e-f} for the least
+    idempotent f of the corner eRe other than 0 and e; the count strictly
+    increases, so refinement terminates.
 
-    The unseeded result depends only on the ring's tables, so it is computed
-    once and kept on the ring; a seeded call neither reads nor writes it.  A
-    kept decomposition with a P_i above ``cfg.max_module`` is not returned:
-    the computation runs again and raises the cap error.
+    The result depends only on the ring's tables, so it is computed once and
+    kept on the ring.  A kept decomposition with a P_i above
+    ``cfg.max_module`` is not returned: the first such P_i in build order
+    (ascending by its class's first idempotent) raises the cap error that
+    building it under ``cfg`` raises.
     """
     cfg = cfg or DEFAULTS
-    if rng is not None:
-        return _decompose(ring, cfg, rng)
     kept = ring._decomposition
-    if kept is None or max(kept.sizes, default=0) > cfg.max_module:
-        kept = ring._decomposition = _decompose(ring, cfg, None)
+    if kept is None:
+        kept = ring._decomposition = _decompose(ring, cfg)
+    elif max(kept.sizes, default=0) > cfg.max_module:
+        over = {c[0]: p for c, p in zip(kept.classes, kept.representatives) if p.size > cfg.max_module}
+        p = over[min(over)]
+        message = f"{p.label}: module size {p.size} above cap {cfg.max_module}"
+        check_cap("max_module", p.size, cfg.max_module, message)
     return kept
 
 
-def _decompose(
-    ring: FiniteRing, cfg: EngineConfig, rng: np.random.Generator | None
-) -> IdempotentDecomposition:
+def _decompose(ring: FiniteRing, cfg: EngineConfig) -> IdempotentDecomposition:
     if ring.size == 1:
         return IdempotentDecomposition(ring, (), (), (), ())
 
-    order = None
-    if rng is not None:
-        order = rng.permutation(ring.size)
     work = [ring.one]
     primitive: list[int] = []
     while work:
         e = work.pop(0)
         if e == 0:
             raise ConsistencyError(f"{ring.label}: zero appeared during refinement")
-        f = _corner_idempotent(ring, e, order)
+        f = _corner_idempotent(ring, e)
         if f is None:
             primitive.append(e)
         else:
@@ -165,7 +150,7 @@ def _decompose(
     groups: list[list[int]] = []
     for e in primitive:
         for group in groups:
-            if corner_isomorphism(ring, group[0], e) is not None:
+            if _isomorphic_left_ideals(ring, group[0], e):
                 group.append(e)
                 break
         else:

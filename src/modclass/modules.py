@@ -186,13 +186,6 @@ class FiniteModule:
             total = term if total is None else self.add(total, term)
         return np.zeros(np.shape(coeffs)[1:], dtype=np.int64) if total is None else total
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    def elements(self) -> range:
-        return range(self.size)
-
     def coords(self, x) -> np.ndarray:
         """Generator coordinates of the least representative of x."""
         return self._cover_digits(self.rep[x])

@@ -246,9 +246,6 @@ class Invariant:
     def index(self) -> int:
         return self.numerator // self.denominator
 
-    def __mul__(self, other: "Invariant") -> "Invariant":
-        return Invariant(self.numerator * other.numerator, self.denominator * other.denominator)
-
 
 def baur_monk_invariant(
     module: FiniteModule,

@@ -29,8 +29,6 @@ sum(r_i K).  The scan over every relation stays as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import DEFAULTS, EngineConfig
@@ -129,21 +127,11 @@ def is_projective_module(module: FiniteModule, cfg: EngineConfig | None = None) 
     )
 
 
-@dataclass
-class FlatnessReport:
+class FlatnessReport(Verdict):
     """Outcome of the Tor test.  Every verdict is exact; a "no" carries the
     first relation, in cover order, that admits no factorization."""
 
-    value: bool
-    witness: dict | None = None
-    note: str = ""
-
-    @property
-    def exact(self) -> bool:
-        return True
-
-    def __bool__(self) -> bool:
-        return self.value
+    exact = True
 
 
 def is_flat_module(module: FiniteModule, cfg: EngineConfig | None = None) -> FlatnessReport:

@@ -176,13 +176,6 @@ class FiniteRing:
     # -- misc ----------------------------------------------------------------
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    @property
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.mul_table, self.mul_table.T))
 

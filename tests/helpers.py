@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from modclass import ClassificationReport, ModuleHom
+from modclass import ClassificationReport, ModuleHom, ring_from_tables
 from modclass.modules import _submodule_generators
 from modclass.subgroup import span
 
@@ -60,3 +60,41 @@ def report_from_dict(data: dict) -> ClassificationReport:
     if missing:
         raise ValueError(f"report missing fields {sorted(missing)}")
     return ClassificationReport(**{k: data[k] for k in known})
+
+
+def relabeled(ring, rng):
+    """The table of ring on a carrier permuted by a random pi fixing 0, with
+    the additive orders left as they are: pi(a) * pi(b) = pi(a * b)."""
+    pi = np.concatenate(([0], 1 + rng.permutation(ring.size - 1)))
+    inv = np.argsort(pi)
+    return pi[ring.mul_table[np.ix_(inv, inv)]], int(pi[ring.one])
+
+
+def automorphic_copy(ring, rng):
+    """An isomorphic copy of a ring whose additive group is elementary abelian,
+    its carrier relabeled by x -> xA for a random invertible digit matrix A
+    over GF(p), and pi, the relabeling (copy element pi[x] is ring element x)."""
+    p, t = ring.orders[0], len(ring.orders)
+    if set(ring.orders) != {p}:
+        raise ValueError(f"{ring.label}: additive group is not elementary abelian")
+    digits = ring.decode(np.arange(ring.size))
+    while True:
+        pi = ring.encode(digits @ rng.integers(p, size=(t, t)) % p)
+        if len(np.unique(pi)) == ring.size:  # A is invertible
+            break
+    inv = np.argsort(pi)
+    table = pi[ring.mul_table[np.ix_(inv, inv)]]
+    return ring_from_tables(ring.orders, int(pi[ring.one]), table, f"{ring.label}^A"), pi
+
+
+def corner_pair_search(ring, e, f):
+    """Witness (a, b) with a in eRf, b in fRe, ab = e and ba = f, if Re ≅ Rf:
+    the search over every pair that a product test for primitive e, f replaces."""
+    mul = ring.mul_table
+    erf = np.unique(mul[mul[e, :], f])
+    fre = np.unique(mul[mul[f, :], e])
+    for i, j in np.argwhere(mul[np.ix_(erf, fre)] == e):
+        a, b = int(erf[i]), int(fre[j])
+        if int(mul[b, a]) == f:
+            return a, b
+    return None

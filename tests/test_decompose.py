@@ -19,7 +19,6 @@ from modclass import (
     central_primitive_idempotents,
     classify_ring,
     corpus_test_modules,
-    corner_isomorphism,
     cyclic_submodule,
     direct_sum,
     free_module,
@@ -42,6 +41,7 @@ from modclass import decompose, ideals
 from modclass import modules as modules_module
 from modclass.decompose import _find_splitting_idempotent
 from modclass.modules import hom_candidate_blocks
+from helpers import automorphic_copy, corner_pair_search
 
 
 class TestIdempotents:
@@ -126,20 +126,49 @@ class TestPrimitiveDecomposition:
             assert product == ring.size, spec
 
     def test_corner_criterion_vs_hom_search(self, corpus):
-        # The corner-element test for Re ≅ Rf must agree with explicit
-        # isomorphism search between the presented left ideals.
+        # Two primitive idempotents share a class iff explicit isomorphism
+        # search finds their left ideals isomorphic.
         for spec in ("Z/6", "Z/12", "T(2,GF(2))", "M(2,GF(2))"):
             ring = corpus[spec]
             reg = regular_module(ring)
             decomposition = primitive_decomposition(ring)
+            class_of = {e: i for i, group in enumerate(decomposition.classes) for e in group}
             es = decomposition.idempotents
             for i, e in enumerate(es):
                 for f in es[i + 1 :]:
-                    corner = corner_isomorphism(ring, e, f)
                     left_e = submodule_as_module(reg, cyclic_submodule(reg, e), generators=[e])
                     left_f = submodule_as_module(reg, cyclic_submodule(reg, f), generators=[f])
                     direct = is_isomorphic(left_e, left_f)
-                    assert (corner is not None) == bool(direct), (spec, e, f)
+                    assert (class_of[e] == class_of[f]) == bool(direct), (spec, e, f)
+
+    def test_classes_match_the_corner_pair_search(self, corpus):
+        # The product test e in eRf·fRe against the search for a, b with
+        # ab = e and ba = f, on every ordered pair of distinct primitive
+        # idempotents.
+        rings = list(corpus.values()) + random_recipe_rings(300, seed=11, max_size=64)
+        rings += [
+            build_ring(spec)
+            for spec in (
+                "M(2,Z/4)",
+                "T(3,GF(2))",
+                "M(2,GF(2)) x T(2,GF(3))",
+                "M(3,GF(2))",
+                "T(2,Z/4) x M(2,GF(2))",
+                "M(2,GF(8))",
+                "T(2,GF(16))",
+            )
+        ]
+        assert len(rings) == 319
+        pairs = 0
+        for ring in rings:
+            decomposition = primitive_decomposition(ring)
+            class_of = {e: i for i, group in enumerate(decomposition.classes) for e in group}
+            for e in decomposition.idempotents:
+                for f in set(decomposition.idempotents) - {e}:
+                    witness = corner_pair_search(ring, e, f)
+                    assert (class_of[e] == class_of[f]) == (witness is not None), (ring.label, e, f)
+                    pairs += 1
+        assert pairs == 870
 
     def test_class_order_matches_integer_tuple_key(self, corpus):
         rings = list(corpus.values())
@@ -158,14 +187,24 @@ class TestPrimitiveDecomposition:
         assert checked >= 8
 
     def test_seed_invariance(self, corpus):
-        for spec, ring in corpus.items():
-            if ring.size > 32:
-                continue
+        # Isomorphic copies under random additive automorphisms take different
+        # refinement paths (the least corner idempotent differs) to the same
+        # sizes and multiplicities.  A commutative ring's primitive idempotents
+        # are unique, so every non-commutative corpus ring is covered.
+        rings = [ring for ring in corpus.values() if not ring.is_commutative]
+        assert len(rings) == 4
+        rings += [build_ring("T(3,GF(2))"), build_ring("M(3,GF(2))")]
+        rng = np.random.default_rng(5)
+        for ring in rings:
             base = primitive_decomposition(ring)
-            for seed in (1, 2, 3):
-                seeded = primitive_decomposition(ring, rng=np.random.default_rng(seed))
-                assert seeded.sizes == base.sizes, spec
-                assert seeded.multiplicities == base.multiplicities, spec
+            paths = set()
+            for _ in range(5):
+                copy, pi = automorphic_copy(ring, rng)
+                decomposition = primitive_decomposition(copy)
+                assert decomposition.sizes == base.sizes, ring.label
+                assert decomposition.multiplicities == base.multiplicities, ring.label
+                paths.add(tuple(sorted(np.argsort(pi)[list(decomposition.idempotents)].tolist())))
+            assert len(paths) >= 2, ring.label
 
 
 class TestRingStructureKeptOnRing:
@@ -176,9 +215,9 @@ class TestRingStructureKeptOnRing:
         calls = {"decomposition": [], "radical": []}
         decompose_, radical_ = decompose._decompose, ideals._radical
 
-        def counted_decompose(ring, cfg, rng):
+        def counted_decompose(ring, cfg):
             calls["decomposition"].append(ring.label)
-            return decompose_(ring, cfg, rng)
+            return decompose_(ring, cfg)
 
         def counted_radical(ring):
             calls["radical"].append(ring.label)
@@ -198,24 +237,45 @@ class TestRingStructureKeptOnRing:
         assert is_flat_module(module).value
         assert computed == {"decomposition": [ring.label], "radical": [ring.label]}
 
-    def test_seeded_call_recomputes_without_touching_the_kept_one(self, computed):
-        ring = build_ring("GF(2) x GF(3) x Z/4")  # commutative: the primitive idempotents are unique
-        kept = primitive_decomposition(ring)
-        seeded = primitive_decomposition(ring, rng=np.random.default_rng(7))
-        assert seeded is not kept
-        fields = ("idempotents", "classes", "multiplicities", "sizes")
-        assert [getattr(seeded, f) for f in fields] == [getattr(kept, f) for f in fields]
-        for p, q in zip(seeded.representatives, kept.representatives):
-            assert np.array_equal(p.act_table, q.act_table)
-        assert primitive_decomposition(ring) is kept
-        assert len(computed["decomposition"]) == 2
-
-    def test_cap_below_a_kept_p_i_still_raises(self, m2f2):
-        primitive_decomposition(m2f2)
+    def test_cap_below_a_kept_p_i_still_raises(self, computed):
+        # The kept record raises the cap error; the refinement is not rerun.
+        m2f2 = build_ring("M(2,GF(2))")
+        kept = primitive_decomposition(m2f2)
         with pytest.raises(SizeCapError) as raised:
             primitive_decomposition(m2f2, DEFAULTS.with_overrides(max_module=3))
         assert str(raised.value) == "P1(M(2,GF(2))): module size 4 above cap 3"
-        assert primitive_decomposition(m2f2).sizes == (4,)
+        assert (raised.value.cap, raised.value.requested, raised.value.limit) == ("max_module", 4, 3)
+        assert computed["decomposition"] == [m2f2.label]
+        assert primitive_decomposition(m2f2) is kept and kept.sizes == (4,)
+        t2f8 = build_ring("T(2,GF(8))")  # P_i of sizes 8 and 64
+        assert primitive_decomposition(t2f8).sizes == (8, 64)
+        with pytest.raises(SizeCapError) as raised:
+            primitive_decomposition(t2f8, DEFAULTS.with_overrides(max_module=63))
+        assert str(raised.value) == "P2(T(2,GF(8))): module size 64 above cap 63"
+        assert (raised.value.cap, raised.value.requested, raised.value.limit) == ("max_module", 64, 63)
+        assert computed["decomposition"] == [m2f2.label, t2f8.label]
+
+    def test_cap_error_of_the_kept_record_is_the_refinements(self, corpus):
+        # Oracle: the error that refining afresh under the cap raises, for
+        # each cap just below a P_i's size.
+        rings = list(corpus.values()) + random_recipe_rings(40, seed=4, max_size=64)
+        rings.append(build_ring("T(2,GF(8))"))
+        checked = 0
+        for ring in rings:
+            for size in set(primitive_decomposition(ring).sizes):
+                cfg = DEFAULTS.with_overrides(max_module=size - 1)
+                with pytest.raises(SizeCapError) as fresh:
+                    decompose._decompose(ring, cfg)
+                with pytest.raises(SizeCapError) as kept:
+                    primitive_decomposition(ring, cfg)
+                assert str(kept.value) == str(fresh.value), ring.label
+                assert (kept.value.cap, kept.value.requested, kept.value.limit) == (
+                    fresh.value.cap,
+                    fresh.value.requested,
+                    fresh.value.limit,
+                )
+                checked += 1
+        assert checked >= 60
 
     def test_classify_ring_builds_no_class_arrays(self):
         # The per-class arrays serve projective-cover counts alone, so a ring

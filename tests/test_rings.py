@@ -30,6 +30,7 @@ from modclass.modules import regular_module, verify_module_axioms
 from modclass.pp import baur_monk_invariant, library_formulas, library_pairs, pp_subgroup_is_right_ideal
 from modclass.properties import is_flat_module, is_free_module, is_projective_module
 from modclass.rings import RingAxiomReport, _fill, _witnesses, base_digits, base_index
+from helpers import relabeled
 
 
 def brute_force_units(ring):
@@ -87,14 +88,6 @@ def two_fill_report(ring):
         checked_triples=len(gens) ** 3,
         failures=[w for kind, bad, labels in checks for w in _witnesses(kind, bad, *labels)],
     )
-
-
-def relabeled(ring, rng):
-    """The table of ring on a carrier permuted by a random pi fixing 0, with
-    the additive orders left as they are: pi(a) * pi(b) = pi(a * b)."""
-    pi = np.concatenate(([0], 1 + rng.permutation(ring.size - 1)))
-    inv = np.argsort(pi)
-    return pi[ring.mul_table[np.ix_(inv, inv)]], int(pi[ring.one])
 
 
 @pytest.fixture(scope="module")
